@@ -9,7 +9,7 @@ implicitly (see DESIGN §3.5 for the rationale):
   explicit seed (``np.random.default_rng(seed)``, ``random.Random(seed)``).
 * **RPR002** — no wall-clock reads (``time.time``, ``datetime.now``,
   …) inside deterministic modules (``sc/``, ``scnn/``, ``arch/``,
-  ``utils/chaos.py`` and its ``serve/chaos.py`` alias); monotonic or
+  ``utils/chaos.py``); monotonic or
   injected clocks only.
 * **RPR003** — every lock declared with a ``# guards:`` annotation has
   its guarded attributes mutated only inside ``with <lock>:`` blocks
@@ -185,11 +185,8 @@ def is_deterministic_module(ctx: FileContext) -> bool:
     parts = ctx.parts
     if any(part in _DETERMINISTIC_DIRS for part in parts):
         return True
-    # Chaos injection must replay exactly (home: utils/chaos.py, with a
-    # backwards-compatible alias at serve/chaos.py).
-    return ctx.path.name == "chaos.py" and (
-        "serve" in parts or "utils" in parts
-    )
+    # Chaos injection must replay exactly.
+    return ctx.path.name == "chaos.py" and "utils" in parts
 
 
 @register

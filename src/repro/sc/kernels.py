@@ -69,6 +69,22 @@ Two further levers sit on top of the dense slab sweep:
   a plan. Callers get a shape heuristic by default or measured plans
   from the autotuner (:mod:`repro.sc.tuner`) via ``autotune=True``.
 
+**Lane packing** (DESIGN §3.1): a stream of length ``<= 32`` fills only
+the low half of its ``uint64`` word, so with the stream length passed in
+(``length=``, never inferred from table values) the kernels put output
+positions ``2j`` and ``2j+1`` in the low and high 32-bit *lanes* of one
+word and every AND, OR and popcount does two positions' work. Each lane
+is gathered with a flat ``np.take`` on the existing one-word table (at
+offsets ``row * 2**bits + value``) and combined as ``lo | hi << 32``; a
+paired ``V x V`` table would be 32x the table size. Weights are
+duplicated into both halves (``w | w << 32``), so lanes never mix. The
+epilogue counts lane 0 as ``popcount(x & 0xFFFFFFFF)`` and lane 1 as
+``popcount(x) - lane0``, summing both over the group axis, and counts
+are unpacked to ``(N, Cout, P)`` before returning (an odd ``P`` pads
+with value 0, whose count is dropped). FXP keeps one lane per word: its
+signed-magnitude pass is popcount-epilogue-bound (one group per product)
+and measured no faster with two lanes.
+
 Sharding (``num_workers``) splits the spatial axis (or the channel axis
 for pointwise/FC shapes) across the shared thread pool of
 :mod:`repro.utils.parallel`; numpy releases the GIL inside the kernels,
@@ -84,7 +100,8 @@ import numpy as np
 from repro.errors import ConfigurationError, ShapeError
 from repro.obs import get_registry
 from repro.sc.accumulate import AccumulationMode
-from repro.utils.bitops import popcount_packed
+from repro.utils import bitops
+from repro.utils.bitops import packed_words, popcount_packed
 from repro.utils.parallel import parallel_map, resolve_workers, shard_slices
 
 #: Peak bytes one product slab may occupy. Deliberately cache-sized:
@@ -124,6 +141,11 @@ SPARSE_AUTO_THRESHOLD = 0.6
 #: shrink the spatial chunk below the long contiguous runs the layout
 #: exists to create.
 _SOUTER_SLAB_BYTES = 1 << 24
+
+#: Bits per lane when two short streams share one ``uint64`` word.
+LANE_BITS = 32
+
+_LANE0_MASK = np.uint64((1 << LANE_BITS) - 1)
 
 _PLAN_PATHS = ("auto", "dense", "sparse")
 
@@ -395,41 +417,125 @@ def _natural_order(group_k: np.ndarray, k: int) -> bool:
 
 
 def _natural_group_zero_frac(
-    cols_flat: np.ndarray, s: int, g: int
+    cols_lanes: np.ndarray, s: int, g: int
 ) -> float:
     """Group-level dead fraction computed straight off the natural-order
-    columns ``(N, K, P)`` — the ``s_outer`` counterpart of
+    columns ``(N, K, P', lanes)`` — the ``s_outer`` counterpart of
     :func:`_group_zero_frac`, with no permutation copy."""
-    n, k, p = cols_flat.shape
-    if not cols_flat.size:
+    n, k, p, lanes = cols_lanes.shape
+    if not cols_lanes.size:
         return 0.0
-    live = (cols_flat.reshape(n, s, g, p) != 0).any(axis=1)
+    live = _live_values(cols_lanes.reshape(n, s, g, p, lanes)).any(axis=1)
     return float(1.0 - live.mean())
+
+
+def stream_lanes(mode: AccumulationMode | str, length: int | None) -> int:
+    """Streams packed per ``uint64`` word in one fused call: 2 when the
+    stream fits in one lane (``length <= 32``) and the mode is not FXP,
+    else 1. An unknown length (``None``) gets one lane."""
+    if length is None or length > LANE_BITS:
+        return 1
+    return 1 if AccumulationMode.parse(mode) is AccumulationMode.FXP else 2
+
+
+def _live_values(vals: np.ndarray) -> np.ndarray:
+    """``vals != 0`` folded over the trailing lane axis (1 or 2 lanes):
+    a packed position is live when any of its lanes is. One
+    ``logical_or`` pass; a reduction over the short lane axis is
+    several times slower."""
+    return np.logical_or(vals[..., 0], vals[..., -1])
+
+
+def _lane_columns(cols_flat: np.ndarray, lanes: int) -> np.ndarray:
+    """Pair output positions into lanes: ``(N, K, P)`` values become
+    ``(N, K, ceil(P / lanes), lanes)``, position ``lanes * j + l`` in
+    lane ``l`` of packed position ``j``. An odd tail pads with value 0
+    (the all-zero stream); its counts are dropped on unpack."""
+    n, k, p = cols_flat.shape
+    tail = -p % lanes
+    if tail:
+        cols_flat = np.concatenate(
+            [cols_flat, np.zeros((n, k, tail), dtype=cols_flat.dtype)], axis=2
+        )
+    return cols_flat.reshape(n, k, -1, lanes)
+
+
+def _gather(table: np.ndarray, rows: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Packed activation words ``table[rows, vals]`` with lanes combined.
+
+    ``vals`` carries a trailing lane axis. Two lanes are gathered by flat
+    ``np.take`` on the one-word table and merged as ``lo | hi << 32``.
+    """
+    if vals.shape[-1] == 1:
+        return table[rows, vals[..., 0]]
+    flat = table.reshape(-1)
+    base = rows * table.shape[1]
+    words = np.take(flat, base + vals[..., 0])
+    high = np.take(flat, base + vals[..., 1])
+    high <<= np.uint64(LANE_BITS)
+    words |= high
+    return words[..., None]
+
+
+def _lane_popcounts(
+    merged: np.ndarray, lanes: int, axis: int | None = None
+) -> np.ndarray:
+    """Per-lane int64 popcounts ``(..., lanes)`` of merged group words,
+    summed over ``axis`` when given. Lane 0 is ``popcount(x & 0xFFFFFFFF)``,
+    lane 1 is ``popcount(x) - lane0``; two lanes clobber ``merged``
+    (always a scratch buffer)."""
+
+    def count() -> np.ndarray:
+        per_group = _group_popcounts(merged)
+        if axis is None:
+            return per_group.astype(np.int64, copy=False)
+        return per_group.sum(axis=axis, dtype=np.int64)
+
+    total = count()
+    if lanes == 1:
+        return total[..., None]
+    np.bitwise_and(merged, _LANE0_MASK, out=merged)
+    lane0 = count()
+    return np.stack((lane0, total - lane0), axis=-1)
+
+
+def _group_popcounts(merged: np.ndarray) -> np.ndarray:
+    """Popcount of ``(..., words)`` merged words, summed over words.
+
+    One-word streams with native popcount return the ufunc's ``uint8``
+    counts as is, skipping an int64 intermediate per group word; callers
+    widen when they reduce."""
+    if merged.shape[-1] == 1 and bitops.USE_NATIVE_POPCOUNT and (
+        bitops.HAS_NATIVE_POPCOUNT
+    ):
+        return np.bitwise_count(merged[..., 0])
+    return popcount_packed(merged)
 
 
 def _grouped_gather_indices(
     rows_flat: np.ndarray,
-    cols_flat: np.ndarray,
+    cols_lanes: np.ndarray,
     group_k: np.ndarray,
     identity: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Bake the OR-group permutation into the activation gather indices.
 
     Returns ``(rows_g, cols_g, zero_slots)``: table-row indices ``(K',)``
-    and value indices ``(N, P, K')`` ordered so a single fancy gather
-    produces activations in ``(N, P, G, S, words)`` group layout with no
+    and value indices ``(N, P', K', lanes)`` ordered so a single gather
+    produces activations in ``(N, P', G, S, words)`` group layout with no
     second copy. ``zero_slots`` marks sentinel positions (APC padding)
     that must be cleared to the all-zero stream after the gather.
     """
-    cols_t = cols_flat.transpose(0, 2, 1)  # (N, P, K) view
     if identity:
-        return rows_flat, cols_t, None
+        return rows_flat, cols_lanes.transpose(0, 2, 1, 3), None
     flat = group_k.reshape(-1)
     k = rows_flat.shape[0]
     zero_slots = flat == k
     safe = np.where(zero_slots, 0, flat)
     rows_g = rows_flat[safe]
-    cols_g = np.ascontiguousarray(cols_t[:, :, safe])
+    # Permute whole (P', lanes) rows first, then transpose: much cheaper
+    # than fancy-indexing the middle axis of the transposed view.
+    cols_g = np.ascontiguousarray(cols_lanes[:, safe].transpose(0, 2, 1, 3))
     return rows_g, cols_g, zero_slots if bool(zero_slots.any()) else None
 
 
@@ -460,14 +566,17 @@ def _grouped_counts(
 ) -> None:
     """Fill ``counts[:, m_span, p_span]`` for one shard (dense sweep).
 
-    The product slab and merged buffers are allocated once per shard and
-    reused across every chunk; the slab is cache-sized, so products are
-    written, OR-merged, and popcounted without touching DRAM. When
-    ``group_weights`` is given (signed-magnitude FXP path), group counts
-    are combined as ``sum_g gw[m, g] * count_g`` instead of a plain sum.
+    ``counts`` is ``(N, M, P', lanes)`` over packed positions; every
+    shard kernel shares this signature. The product slab and merged
+    buffers are allocated once per shard and reused across every chunk;
+    the slab is cache-sized, so products are written, OR-merged, and
+    popcounted without touching DRAM. When ``group_weights`` is given
+    (signed-magnitude FXP path, one lane), group counts are combined as
+    ``sum_g gw[m, g] * count_g`` instead of a plain sum.
     """
     n = cols_g.shape[0]
     words = table.shape[-1]
+    lanes = counts.shape[-1]
     g, s = w_g.shape[1:3]
     m_total = m_span.stop - m_span.start
     p_total = p_span.stop - p_span.start
@@ -482,7 +591,7 @@ def _grouped_counts(
     for lo in range(p_span.start, p_span.stop, pc):
         hi = min(lo + pc, p_span.stop)
         width = hi - lo
-        act = table[rows_g[None, None, :], cols_g[:, lo:hi]]
+        act = _gather(table, rows_g[None, None, :], cols_g[:, lo:hi])
         if zero_slots is not None:
             act[:, :, zero_slots] = 0
         # (N, Pc, K', words) -> broadcastable (N, 1, Pc, G, S, words)
@@ -514,15 +623,14 @@ def _grouped_counts(
             else:
                 merged_view = merged[:, :m_width, :width]
                 np.bitwise_or.reduce(slab_view, axis=4, out=merged_view)
-            group_counts = popcount_packed(merged_view)  # (N, Mb, Pc, G)
             if group_weights is None:
-                counts[:, m_lo:m_hi, lo:hi] = group_counts.sum(
-                    axis=3, dtype=np.int64
+                counts[:, m_lo:m_hi, lo:hi] = _lane_popcounts(
+                    merged_view, lanes, axis=3
                 )
             else:
-                counts[:, m_lo:m_hi, lo:hi] = np.einsum(
+                counts[:, m_lo:m_hi, lo:hi, 0] = np.einsum(
                     "nmpg,mg->nmp",
-                    group_counts,
+                    _group_popcounts(merged_view),  # (N, Mb, Pc, G)
                     group_weights[m_lo:m_hi],
                     dtype=np.int64,
                 )
@@ -531,18 +639,22 @@ def _grouped_counts(
 def _souter_grouped_counts(
     table: np.ndarray,
     rows_flat: np.ndarray,
-    cols_flat: np.ndarray,
+    cols_lanes: np.ndarray,
+    zero_slots: None,
     w_nat: np.ndarray,
     counts: np.ndarray,
     p_span: slice,
     m_span: slice,
     plan: ExecPlan,
+    group_weights: None = None,
 ) -> None:
     """Fill ``counts[:, m_span, p_span]`` with the ``s_outer`` layout.
 
     Operands are in natural member-major order: ``rows_flat``/
-    ``cols_flat`` exactly as passed by the caller (no permutation
-    gather) and weights reshaped to ``(M, S, G, words)``. The product
+    ``cols_lanes`` as passed by the caller (no permutation gather) and
+    weights reshaped to ``(M, S, G, words)``; natural order has no pad
+    sentinels and FXP never runs here, so ``zero_slots`` and
+    ``group_weights`` are always ``None``. The product
     slab is ``(N, Mb, S, G, Pc, words)``: the AND broadcasts each
     weight word stride-0 over the contiguous ``Pc * words`` spatial
     run (the reference loop's fast pattern), and the OR-reduction runs
@@ -550,8 +662,9 @@ def _souter_grouped_counts(
     ``G * Pc * words`` contiguous planes. ``S == 1`` skips the merge
     entirely — the slab view *is* the merged tensor.
     """
-    n, k, _ = cols_flat.shape
+    n, k = cols_lanes.shape[:2]
     words = table.shape[-1]
+    lanes = counts.shape[-1]
     s, g = w_nat.shape[1:3]
     m_total = m_span.stop - m_span.start
     p_total = p_span.stop - p_span.start
@@ -563,7 +676,7 @@ def _souter_grouped_counts(
     for lo in range(p_span.start, p_span.stop, pc):
         hi = min(lo + pc, p_span.stop)
         width = hi - lo
-        act = table[rows_flat[None, :, None], cols_flat[:, :, lo:hi]]
+        act = _gather(table, rows_flat[None, :, None], cols_lanes[:, :, lo:hi])
         # (N, K, Pc, words) -> broadcastable (N, 1, S, G, Pc, words)
         act_b = act.reshape(n, 1, s, g, width, words)
         for m_lo in range(m_span.start, m_span.stop, mb):
@@ -580,9 +693,9 @@ def _souter_grouped_counts(
             else:
                 merged_view = merged[:, :m_width, :, :width]
                 np.bitwise_or.reduce(slab_view, axis=2, out=merged_view)
-            group_counts = popcount_packed(merged_view)  # (N, Mb, G, Pc)
-            counts[:, m_lo:m_hi, lo:hi] = group_counts.sum(
-                axis=2, dtype=np.int64
+            # (N, Mb, G, Pc, words) -> (N, Mb, Pc, lanes)
+            counts[:, m_lo:m_hi, lo:hi] = _lane_popcounts(
+                merged_view, lanes, axis=2
             )
 
 
@@ -623,27 +736,29 @@ def _sparse_grouped_counts(
       regular broadcast with no weight gathers at all. Wide groups are
       few (``G * S = K``), keeping the Python loop short.
 
-    Work is chunked to ``plan.slab_bytes``. Returns
+    Work is chunked to ``plan.slab_bytes``. With two lanes a packed
+    group-position is dead only when both of its lanes are. Returns
     ``(nnz_words, skipped_words)``: packed words processed vs skipped,
     exported by the caller through :mod:`repro.obs` as realized
     sparsity.
     """
     n = cols_g.shape[0]
     words = table.shape[-1]
+    lanes = counts.shape[-1]
     g, s = w_g.shape[1:3]
     p_lo, p_hi = p_span.start, p_span.stop
     width = p_hi - p_lo
     m_lo, m_hi = m_span.start, m_span.stop
     mb = m_hi - m_lo
     counts[:, m_span, p_span] = 0
-    vals = cols_g[:, p_lo:p_hi].reshape(n, width, g, s)
+    vals = cols_g[:, p_lo:p_hi].reshape(n, width, g, s, lanes)
     rows_gs = rows_g.reshape(g, s)
     zs = zero_slots.reshape(g, s) if zero_slots is not None else None
-    live = vals != 0
+    live = _live_values(vals)
     if zs is not None:
         live &= ~zs[None, None]
     alive = live.any(axis=3)  # (N, width, G)
-    seen_total = vals.size * words
+    seen_total = live.size * words
     w_blk = w_g[m_lo:m_hi]  # (Mb, G, S, words)
     gw = group_weights[m_lo:m_hi] if group_weights is not None else None
     m_idx = np.arange(m_lo, m_hi)[None, :]
@@ -673,7 +788,9 @@ def _sparse_grouped_counts(
             pb = min(pa + pos_chunk, npos)
             s0, s1 = bounds[pa], bounds[pb]
             gi_c = g_i[s0:s1]
-            act = table[rows_gs[gi_c], vals[n_i[s0:s1], p_i[s0:s1], gi_c]]
+            act = _gather(
+                table, rows_gs[gi_c], vals[n_i[s0:s1], p_i[s0:s1], gi_c]
+            )
             if zs is not None:
                 pad = zs[gi_c]
                 if pad.any():
@@ -685,9 +802,9 @@ def _sparse_grouped_counts(
                 merged = prod[:, :, 0] | prod[:, :, 1]
                 for i in range(2, s):
                     merged = merged | prod[:, :, i]
-            cnt = popcount_packed(merged)  # (Rc, Mb)
+            cnt = _lane_popcounts(merged, lanes)  # (Rc, Mb, lanes)
             if gw_t is not None:
-                cnt = cnt * gw_t[gi_c]
+                cnt = cnt * gw_t[gi_c][..., None]
             sums = np.add.reduceat(cnt, starts[pa:pb] - s0, axis=0)
             counts[n_u[pa:pb, None], m_idx, p_u[pa:pb, None]] = sums
         return sel.size * s * words, seen_total - sel.size * s * words
@@ -704,32 +821,33 @@ def _sparse_grouped_counts(
             run = sel[r_lo : r_lo + r_chunk]
             n_i = run // width
             p_i = run - n_i * width
-            act = table[rows_gs[gi][None, :], vals[n_i, p_i, gi]]
+            act = _gather(table, rows_gs[gi][None, :], vals[n_i, p_i, gi])
             if zs is not None and zs[gi].any():
                 act[:, zs[gi]] = 0
             prod = act[:, None] & w_run  # (Rc, Mb, S, words)
             merged = np.bitwise_or.reduce(prod, axis=2)
-            cnt = popcount_packed(merged)  # (Rc, Mb)
+            cnt = _lane_popcounts(merged, lanes)  # (Rc, Mb, lanes)
             if gw is not None:
-                cnt = cnt * gw[None, :, gi]
+                cnt = cnt * gw[None, :, gi, None]
             counts[n_i[:, None], m_idx, (p_i + p_lo)[:, None]] += cnt
     return nnz_total, seen_total - nnz_total
 
 
 def _count_kernel_ops(
     mode: AccumulationMode, n: int, m: int, p: int, g: int, s: int,
-    words: int, fastpath: bool = False, mixed: bool = False,
+    words: int, layout: str, lanes: int, fxp_overlap: int | None = None,
 ) -> None:
     """Record the op mix of one fused call on the telemetry registry.
 
     Word totals are computed arithmetically from the shard geometry
-    (``AND`` over every ``(N, M, P, G, S)`` product word, ``S - 1`` ORs
+    (``AND`` over every ``(N, M, P', G, S)`` product word, ``S - 1`` ORs
     per group merge, one popcount word per merged group word), so the
-    accounting adds nothing to the inner loops. ``bit_ops`` is the
-    64-bit-word total scaled to single bit operations. For sparse-path
-    calls these are the *dense-equivalent* totals; the realized volume
-    is the dense total minus ``sc.kernels.skipped_words`` worth of
-    products.
+    accounting adds nothing to the inner loops. ``p`` counts *packed*
+    positions, so the totals are the words the kernels realize: two
+    lanes halve them. ``bit_ops`` is the 64-bit-word total scaled to
+    single bit operations. For sparse-path calls these are the
+    *dense-equivalent* totals; the realized volume is the dense total
+    minus ``sc.kernels.skipped_words`` worth of products.
     """
     reg = get_registry()
     if not reg.enabled:
@@ -739,46 +857,42 @@ def _count_kernel_ops(
     popcount_words = n * m * p * g * words
     reg.counter("sc.kernels.calls").add(1)
     reg.counter(f"sc.kernels.mode.{mode.value}").add(1)
+    reg.counter(f"sc.kernels.layout.{layout}").add(1)
+    reg.counter(f"sc.kernels.lanes.{lanes}").add(1)
     reg.counter("sc.kernels.and_words", unit="words").add(and_words)
     reg.counter("sc.kernels.or_words", unit="words").add(or_words)
     reg.counter("sc.kernels.popcount_words", unit="words").add(popcount_words)
     reg.counter("sc.kernels.bit_ops", unit="bits").add(
         64 * (and_words + or_words + popcount_words)
     )
-    if fastpath:
+    if fxp_overlap == 0:
         reg.counter("sc.kernels.fxp_fastpath").add(1)
-    if mixed:
+    elif fxp_overlap:
         reg.counter("sc.kernels.fxp_mixed").add(1)
 
 
-def _count_sparse_words(shard_stats: list[tuple[int, int] | None]) -> None:
+def _count_sparse_words(nnz: int, skipped: int) -> None:
     """Export realized activation sparsity of one sparse-path call."""
     reg = get_registry()
     if not reg.enabled:
         return
-    nnz = sum(st[0] for st in shard_stats if st is not None)
-    skipped = sum(st[1] for st in shard_stats if st is not None)
     reg.counter("sc.kernels.sparse_calls").add(1)
     reg.counter("sc.kernels.nnz_words", unit="words").add(nnz)
     reg.counter("sc.kernels.skipped_words", unit="words").add(skipped)
 
 
 def _group_zero_frac(
-    cols_g: np.ndarray,
-    zero_slots: np.ndarray | None,
-    n: int,
-    p: int,
-    g: int,
-    s: int,
+    cols_g: np.ndarray, zero_slots: np.ndarray | None, g: int, s: int
 ) -> float:
-    """Fraction of ``(sample, position, group)`` coordinates whose member
-    values are all zero — computable from the quantized columns alone,
-    before any stream gather (value 0 encodes the all-zero stream)."""
-    vals = cols_g.reshape(n, p, g, s)
-    live = vals != 0
+    """Fraction of packed ``(sample, position, group)`` coordinates whose
+    member values are all zero in every lane — computable from the
+    quantized columns alone, before any stream gather (value 0 encodes
+    the all-zero stream)."""
+    n, p = cols_g.shape[:2]
+    live = _live_values(cols_g.reshape(n, p, g, s, -1))
     if zero_slots is not None:
-        live = live & ~zero_slots.reshape(g, s)[None, None]
-    return float(1.0 - live.any(axis=3).mean()) if vals.size else 0.0
+        live &= ~zero_slots.reshape(g, s)[None, None]
+    return float(1.0 - live.any(axis=3).mean()) if live.size else 0.0
 
 
 def _choose_kernel(plan: ExecPlan, value_zero_frac: float, group_zero_frac):
@@ -817,13 +931,6 @@ def _resolve_layout(
     return layout
 
 
-def _count_layout(layout: str) -> None:
-    """Record which dense layout a fused call executed."""
-    reg = get_registry()
-    if reg.enabled:
-        reg.counter(f"sc.kernels.layout.{layout}").add(1)
-
-
 def _shard_spans(
     p: int, m: int, workers: int
 ) -> list[tuple[slice, slice]]:
@@ -851,6 +958,8 @@ def fused_conv_counts(
     slab_bytes: int = DEFAULT_SLAB_BYTES,
     plan: ExecPlan | None = None,
     autotune: bool | None = None,
+    length: int | None = None,
+    stats: dict | None = None,
 ) -> np.ndarray:
     """Signed product counts of a packed-stream SC convolution.
 
@@ -881,13 +990,21 @@ def fused_conv_counts(
         ``True`` forces a tuner plan lookup (tuning on miss), ``False``
         forbids it, ``None`` follows the process-wide default set by
         :func:`repro.sc.tuner.set_default_autotune` / ``REPRO_AUTOTUNE``.
+    length:
+        Stream length of ``table``. It sets the lane count
+        (:func:`stream_lanes`): ``<= 32`` packs two output positions
+        per word. ``None`` runs one lane.
+    stats:
+        Optional dict filled with this call's ``path`` (``"dense"`` /
+        ``"sparse"``), ``layout``, ``lanes``, and realized
+        ``nnz_words`` / ``skipped_words`` (both 0 on the dense path).
 
     Returns
     -------
     numpy.ndarray
         ``(N, Cout, P)`` int64 counts, positive minus negative channel —
         bit-identical to the reference per-channel reduction whichever
-        plan or path executes it.
+        plan, path or lane count executes it.
     """
     mode = AccumulationMode.parse(mode)
     if cols.ndim != 5:
@@ -904,9 +1021,16 @@ def fused_conv_counts(
         )
     cout = wp.shape[0]
     words = table.shape[-1]
+    if length is not None and packed_words(length) != words:
+        raise ShapeError(
+            f"stream length {length} does not fit a {words}-word table"
+        )
+    lanes = stream_lanes(mode, length)
     k = cin * kh * kw
     rows_flat = np.ascontiguousarray(act_rows, dtype=np.int64).reshape(k)
     cols_flat = np.ascontiguousarray(cols).reshape(n, k, p)
+    cols_lanes = _lane_columns(cols_flat, lanes)  # (N, K, P', lanes)
+    p_packed = cols_lanes.shape[2]
     workers = resolve_workers(num_workers)
     # Fraction of zero-valued quantized activations: value 0 encodes the
     # all-zero stream, so this is a cheap proxy for word-level sparsity.
@@ -922,95 +1046,108 @@ def fused_conv_counts(
         if tuner.autotune_enabled(autotune):
             plan = tuner.plan_for(
                 table, act_rows, cols, wp, wn, mode,
-                workers=workers, zero_frac=zero_frac,
+                workers=workers, zero_frac=zero_frac, length=length,
             )
     if plan is None:
         if slab_bytes != DEFAULT_SLAB_BYTES:
             # Caller pinned a budget explicitly: honor it verbatim.
             plan = ExecPlan(slab_bytes=slab_bytes)
         else:
-            plan = heuristic_plan(mode, n, cin, kh, kw, cout, p, words)
+            plan = heuristic_plan(
+                mode, n, cin, kh, kw, cout, p_packed, words
+            )
+
+    group_weights = zero_slots = fxp_overlap = None
     if mode is AccumulationMode.FXP:
+        rows_g, cols_g, w_g, group_weights = _fxp_operands(
+            rows_flat, cols_lanes, wp, wn
+        )
+        fxp_overlap = rows_g.size - k
+        m = cout
+        g, s = w_g.shape[1:3]
+        layout = "k_inner"
         # Singleton OR groups: the group-level zero fraction that
         # decides the sparse path IS the value-level zero fraction.
         kernel = _choose_kernel(plan, zero_frac, lambda: zero_frac)
-        return _fxp_magnitude_counts(
-            table, rows_flat, cols_flat, wp, wn, workers, plan, kernel
+    else:
+        group_k, identity = group_structure(mode, cin, kh, kw)
+        g, s = group_k.shape
+        m = 2 * cout
+        wstack = np.concatenate(
+            [wp.reshape(cout, k, words), wn.reshape(cout, k, words)], axis=0
         )
-
-    group_k, identity = group_structure(mode, cin, kh, kw)
-    g, s = group_k.shape
-    _count_kernel_ops(mode, n, 2 * cout, p, g, s, words)
-    pad = bool(k % 2) if mode is AccumulationMode.APC else False
-    wstack = np.concatenate(
-        [wp.reshape(cout, k, words), wn.reshape(cout, k, words)], axis=0
-    )
-    m = 2 * cout
-    counts = np.empty((n, m, p), dtype=np.int64)
-    spans = _shard_spans(p, m, workers)
-
-    natural = _natural_order(group_k, k)
-    layout = _resolve_layout(plan, mode, natural)
-    kernel = None
-    if natural:
-        # Natural-order modes can probe group density straight off the
-        # flat columns, before (and possibly instead of) the permuted
-        # gather-index build the k_inner/sparse paths need.
-        kernel = _choose_kernel(
-            plan,
-            zero_frac,
-            lambda: _natural_group_zero_frac(cols_flat, s, g),
-        )
-    if layout == "s_outer" and kernel is _grouped_counts:
-        _count_layout("s_outer")
-        w_nat = wstack.reshape(m, s, g, words)
-
-        def run_souter(span: tuple[slice, slice]) -> None:
-            p_span, m_span = span
-            _souter_grouped_counts(
-                table, rows_flat, cols_flat, w_nat,
-                counts, p_span, m_span, plan,
+        if lanes == 2:
+            # Both lanes AND against the same weight stream.
+            wstack = wstack | (wstack << np.uint64(LANE_BITS))
+        natural = _natural_order(group_k, k)
+        layout = _resolve_layout(plan, mode, natural)
+        kernel = None
+        if natural:
+            # Natural-order modes can probe group density straight off
+            # the flat columns, before (and possibly instead of) the
+            # permuted gather-index build the k_inner/sparse paths need.
+            kernel = _choose_kernel(
+                plan,
+                zero_frac,
+                lambda: _natural_group_zero_frac(cols_lanes, s, g),
             )
-
-        parallel_map(run_souter, spans, workers)
-        return counts[:, :cout] - counts[:, cout:]
-
-    w_g = _grouped_weights(wstack, group_k, pad)
-    rows_g, cols_g, zero_slots = _grouped_gather_indices(
-        rows_flat, cols_flat, group_k, identity
+        if layout == "s_outer" and kernel is _grouped_counts:
+            kernel = _souter_grouped_counts
+            rows_g, cols_g = rows_flat, cols_lanes
+            w_g = wstack.reshape(m, s, g, words)
+        else:
+            layout = "k_inner"
+            pad = mode is AccumulationMode.APC and bool(k % 2)
+            w_g = _grouped_weights(wstack, group_k, pad)
+            rows_g, cols_g, zero_slots = _grouped_gather_indices(
+                rows_flat, cols_lanes, group_k, identity
+            )
+            if kernel is None:
+                kernel = _choose_kernel(
+                    plan,
+                    zero_frac,
+                    lambda: _group_zero_frac(cols_g, zero_slots, g, s),
+                )
+    _count_kernel_ops(
+        mode, n, m, p_packed, g, s, words, layout, lanes, fxp_overlap
     )
-    if kernel is None:
-        kernel = _choose_kernel(
-            plan,
-            zero_frac,
-            lambda: _group_zero_frac(cols_g, zero_slots, n, p, g, s),
-        )
-    _count_layout("k_inner")
+
+    counts = np.empty((n, m, p_packed, lanes), dtype=np.int64)
 
     def run(span: tuple[slice, slice]) -> tuple[int, int] | None:
         p_span, m_span = span
         return kernel(
             table, rows_g, cols_g, zero_slots, w_g,
-            counts, p_span, m_span, plan,
+            counts, p_span, m_span, plan, group_weights,
         )
 
-    stats = parallel_map(run, spans, workers)
-    if kernel is _sparse_grouped_counts:
-        _count_sparse_words(stats)
+    shard_words = parallel_map(run, _shard_spans(p_packed, m, workers), workers)
+    sparse = kernel is _sparse_grouped_counts
+    nnz = sum(st[0] for st in shard_words) if sparse else 0
+    skipped = sum(st[1] for st in shard_words) if sparse else 0
+    if sparse:
+        _count_sparse_words(nnz, skipped)
+    if stats is not None:
+        stats.update(
+            path="sparse" if sparse else "dense",
+            layout=layout,
+            lanes=lanes,
+            nnz_words=nnz,
+            skipped_words=skipped,
+        )
+    counts = counts.reshape(n, m, p_packed * lanes)[:, :, :p]
+    if mode is AccumulationMode.FXP:
+        return counts
     return counts[:, :cout] - counts[:, cout:]
 
 
-def _fxp_magnitude_counts(
-    table: np.ndarray,
+def _fxp_operands(
     rows_flat: np.ndarray,
-    cols_flat: np.ndarray,
+    cols_lanes: np.ndarray,
     wp: np.ndarray,
     wn: np.ndarray,
-    workers: int,
-    plan: ExecPlan,
-    kernel,
-) -> np.ndarray:
-    """Signed-magnitude FXP path (single pass, no stacked 2x channels).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Operands of the signed-magnitude FXP pass (no stacked 2x channels).
 
     In split-unipolar form a weight position usually drives exactly one
     of the positive/negative streams (the other is all-zero), so
@@ -1022,60 +1159,46 @@ def _fxp_magnitude_counts(
     so the single magnitude pass still computes ``pos - neg`` exactly
     with ``G = K + |overlap| <= 2K`` singleton groups — never the
     stacked ``2 * Cout`` channel sweep.
+
+    Returns ``(rows_g, cols_g, w_g, sgn)``: gather rows ``(G,)``, values
+    ``(N, P, G, 1)``, weights ``(Cout, G, 1, words)`` and signs
+    ``(Cout, G)`` for the shard kernels' ``group_weights``.
     """
-    n, k, p = cols_flat.shape
+    k = rows_flat.shape[0]
     cout = wp.shape[0]
-    words = table.shape[-1]
+    words = wp.shape[-1]
     wp_flat = wp.reshape(cout, k, words)
     wn_flat = wn.reshape(cout, k, words)
     pos_nz = wp_flat.any(axis=-1)
     neg_nz = wn_flat.any(axis=-1)
     overlap = np.flatnonzero((pos_nz & neg_nz).any(axis=0))
-    cols_t = cols_flat.transpose(0, 2, 1)  # (N, P, K) view
+    cols_t = cols_lanes.transpose(0, 2, 1, 3)  # (N, P, K, 1) view
     if overlap.size == 0:
         # Disjoint everywhere: wp | wn is exactly the non-zero channel.
         w_g = (wp_flat | wn_flat).reshape(cout, k, 1, words)
         sgn = pos_nz.astype(np.int64) - neg_nz.astype(np.int64)
-        rows_g, cols_g = rows_flat, cols_t
-    else:
-        dis = np.ones(k, dtype=bool)
-        dis[overlap] = False
-        # First K entries: magnitude stream at disjoint positions, the
-        # positive stream at overlap positions (sign +1 — channels whose
-        # wp is zero there contribute nothing). Appended entries carry
-        # the negative stream of each overlap position with sign -1.
-        w_first = np.where(dis[None, :, None], wp_flat | wn_flat, wp_flat)
-        sgn_first = np.where(
-            dis[None, :],
-            pos_nz.astype(np.int64) - neg_nz.astype(np.int64),
-            1,
-        )
-        w_g = np.concatenate(
-            [w_first, wn_flat[:, overlap]], axis=1
-        ).reshape(cout, k + overlap.size, 1, words)
-        sgn = np.concatenate(
-            [sgn_first, np.full((cout, overlap.size), -1, dtype=np.int64)],
-            axis=1,
-        )
-        rows_g = np.concatenate([rows_flat, rows_flat[overlap]])
-        cols_g = np.ascontiguousarray(
-            np.concatenate([cols_t, cols_t[:, :, overlap]], axis=2)
-        )
-    _count_kernel_ops(
-        AccumulationMode.FXP, n, cout, p, k + overlap.size, 1, words,
-        fastpath=overlap.size == 0, mixed=overlap.size > 0,
+        return rows_flat, cols_t, w_g, sgn
+    dis = np.ones(k, dtype=bool)
+    dis[overlap] = False
+    # First K entries: magnitude stream at disjoint positions, the
+    # positive stream at overlap positions (sign +1 — channels whose
+    # wp is zero there contribute nothing). Appended entries carry
+    # the negative stream of each overlap position with sign -1.
+    w_first = np.where(dis[None, :, None], wp_flat | wn_flat, wp_flat)
+    sgn_first = np.where(
+        dis[None, :],
+        pos_nz.astype(np.int64) - neg_nz.astype(np.int64),
+        1,
     )
-    counts = np.empty((n, cout, p), dtype=np.int64)
-    spans = _shard_spans(p, cout, workers)
-
-    def run(span: tuple[slice, slice]) -> tuple[int, int] | None:
-        p_span, m_span = span
-        return kernel(
-            table, rows_g, cols_g, None, w_g,
-            counts, p_span, m_span, plan, group_weights=sgn,
-        )
-
-    stats = parallel_map(run, spans, workers)
-    if kernel is _sparse_grouped_counts:
-        _count_sparse_words(stats)
-    return counts
+    w_g = np.concatenate(
+        [w_first, wn_flat[:, overlap]], axis=1
+    ).reshape(cout, k + overlap.size, 1, words)
+    sgn = np.concatenate(
+        [sgn_first, np.full((cout, overlap.size), -1, dtype=np.int64)],
+        axis=1,
+    )
+    rows_g = np.concatenate([rows_flat, rows_flat[overlap]])
+    cols_g = np.ascontiguousarray(
+        np.concatenate([cols_t, cols_t[:, :, overlap]], axis=2)
+    )
+    return rows_g, cols_g, w_g, sgn

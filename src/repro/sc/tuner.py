@@ -11,9 +11,10 @@ closes that loop:
   small candidate set on a subsampled probe of the real operands
   (spatial extent capped at :data:`PROBE_P`, batch at :data:`PROBE_N`),
   keeps the fastest plan, and stores it.
-* Plans are keyed by ``(mode, layer shape, stream words, density
-  bucket)`` — see :func:`plan_key`. The density bucket keeps sparse and
-  dense workloads of the same shape from sharing a plan.
+* Plans are keyed by ``(mode, layer shape, stream words, lanes per
+  word, density bucket)`` — see :func:`plan_key`. The density bucket
+  keeps sparse and dense workloads of the same shape from sharing a
+  plan.
 * :class:`PlanCache` holds plans in-process and optionally persists them
   as JSON (default ``~/.cache/geo-repro/plans.json``, override with the
   ``REPRO_PLAN_CACHE`` env var, disable disk with ``REPRO_PLAN_CACHE=off``).
@@ -44,7 +45,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.obs import get_registry
-from repro.sc.kernels import DEFAULT_SLAB_BYTES, ExecPlan
+from repro.sc.kernels import DEFAULT_SLAB_BYTES, ExecPlan, stream_lanes
 from repro.utils.atomic import atomic_write_json
 
 __all__ = [
@@ -64,7 +65,7 @@ __all__ = [
 ]
 
 #: On-disk cache schema version; bump when the JSON layout changes.
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 #: Default persistent cache location (see ``REPRO_PLAN_CACHE``).
 DEFAULT_CACHE_PATH = "~/.cache/geo-repro/plans.json"
@@ -100,17 +101,21 @@ def plan_key(
     p: int,
     words: int,
     zero_frac: float = 0.0,
+    lanes: int = 1,
 ) -> str:
     """Stable cache key for one fused-call signature.
 
     The density bucket quantizes ``zero_frac`` into quarters so that
     dense and sparse traffic through the same layer tune independently
-    without fragmenting the cache per exact density.
+    without fragmenting the cache per exact density. ``lanes`` (streams
+    per word, :func:`repro.sc.kernels.stream_lanes`) separates lengths
+    that share a word count: 32 and 64 are both one word, but only 32
+    runs the two-lane kernels.
     """
     bucket = min(3, int(max(0.0, min(1.0, zero_frac)) * 4))
     return (
         f"{mode}|n{n}|cin{cin}|kh{kh}|kw{kw}|cout{cout}"
-        f"|p{p}|w{words}|z{bucket}"
+        f"|p{p}|w{words}|l{lanes}|z{bucket}"
     )
 
 
@@ -326,6 +331,7 @@ def _tune(
     mode,
     workers: int,
     zero_frac: float,
+    length: int | None,
 ) -> ExecPlan:
     """Time every candidate on probe operands; return the fastest plan."""
     from repro.sc.kernels import fused_conv_counts
@@ -345,7 +351,7 @@ def _tune(
             start = time.perf_counter()
             fused_conv_counts(
                 table, act_rows, probe_cols, wp, wn, mode,
-                num_workers=workers, plan=plan,
+                num_workers=workers, plan=plan, length=length,
             )
             elapsed = min(elapsed, time.perf_counter() - start)
         if elapsed < best_time:
@@ -363,6 +369,7 @@ def plan_for(
     mode,
     workers: int = 1,
     zero_frac: float = 0.0,
+    length: int | None = None,
 ) -> ExecPlan:
     """Resolve the execution plan for one fused call, tuning on miss.
 
@@ -377,7 +384,7 @@ def plan_for(
     n, cin, kh, kw, p = cols.shape
     key = plan_key(
         mode.value, n, cin, kh, kw, wp.shape[0], p,
-        table.shape[-1], zero_frac,
+        table.shape[-1], zero_frac, lanes=stream_lanes(mode, length),
     )
     cache = get_plan_cache()
     plan = cache.lookup(key)
@@ -390,7 +397,7 @@ def plan_for(
         reg.counter("sc.tuner.plan_misses").add(1)
         reg.counter("sc.tuner.tunes").add(1)
     plan = _tune(
-        key, table, act_rows, cols, wp, wn, mode, workers, zero_frac
+        key, table, act_rows, cols, wp, wn, mode, workers, zero_frac, length
     )
     cache.note_tune()
     cache.store(key, plan)

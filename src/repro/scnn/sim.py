@@ -223,6 +223,21 @@ class _ExecState:
     plan: SeedPlan
 
 
+def _merge_kernel_stats(total: dict, call: dict) -> None:
+    """Fold one fused call's stats into a forward's ``kernel_path`` /
+    ``kernel_layout`` / ``lanes`` / word counts: words add up, and a
+    value that differs across batch chunks reads ``"mixed"``."""
+    total["nnz_words"] += call["nnz_words"]
+    total["skipped_words"] += call["skipped_words"]
+    for key, name in (
+        ("kernel_path", "path"), ("kernel_layout", "layout"), ("lanes", "lanes")
+    ):
+        if total[key] is None:
+            total[key] = call[name]
+        elif total[key] != call[name]:
+            total[key] = "mixed"
+
+
 class SCConvSimulator:
     """Bit-true SC forward for one convolution layer.
 
@@ -427,10 +442,17 @@ class SCConvSimulator:
         reg = obs.get_registry()
         mode = cfg.accumulation
         bytes_touched = 0
-        nnz_before = reg.counter("sc.kernels.nnz_words", unit="words").value
-        skip_before = (
-            reg.counter("sc.kernels.skipped_words", unit="words").value
-        )
+        # This forward's own kernel stats, returned by each fused call so
+        # concurrent forwards never see each other's words. Path, layout
+        # and lanes stay None on the reference engine; the words count
+        # realized sparse-path sparsity (zero when the dense path ran).
+        kernel = {
+            "kernel_path": None,
+            "kernel_layout": None,
+            "lanes": None,
+            "nnz_words": 0,
+            "skipped_words": 0,
+        }
         with reg.span(
             "scnn.conv_forward",
             layer=self.layer_index,
@@ -473,6 +495,7 @@ class SCConvSimulator:
                 # cols: (nc, Cin, KH, KW, OH, OW)
                 if fused:
                     nc = cols.shape[0]
+                    call: dict = {}
                     with reg.span("scnn.engine", engine="fused"):
                         signed = fused_conv_counts(
                             table,
@@ -483,7 +506,10 @@ class SCConvSimulator:
                             mode,
                             num_workers=cfg.num_workers,
                             autotune=cfg.autotune or None,
+                            length=length,
+                            stats=call,
                         )  # (nc, Cout, OH*OW)
+                    _merge_kernel_stats(kernel, call)
                     out[start : start + chunk] = (
                         (signed / length)
                         .astype(np.float32)
@@ -503,18 +529,12 @@ class SCConvSimulator:
                         out[start : start + chunk, co] = (
                             (pos_counts - neg_counts) / length
                         ).astype(np.float32)
+            if reg.enabled:
+                sp.attrs.update(kernel)
         if reg.enabled:
             bytes_touched += table.nbytes + wp.nbytes + wn.nbytes + out.nbytes
             reg.counter(f"scnn.outputs.{mode.value}").add(out.size)
-            nnz_words = (
-                reg.counter("sc.kernels.nnz_words", unit="words").value
-                - nnz_before
-            )
-            skipped_words = (
-                reg.counter("sc.kernels.skipped_words", unit="words").value
-                - skip_before
-            )
-            touched = nnz_words + skipped_words
+            touched = kernel["nnz_words"] + kernel["skipped_words"]
             reg.add_profile(
                 {
                     "kind": "layer_forward",
@@ -532,12 +552,11 @@ class SCConvSimulator:
                     "wall_s": sp.wall_s,
                     "cpu_s": sp.cpu_s,
                     "workers": cfg.num_workers,
-                    # Realized sparse-path sparsity for this forward (zero
-                    # when the dense path ran: it keeps no word counters).
-                    "nnz_words": int(nnz_words),
-                    "skipped_words": int(skipped_words),
+                    **kernel,
                     "word_sparsity": (
-                        float(skipped_words / touched) if touched else 0.0
+                        float(kernel["skipped_words"] / touched)
+                        if touched
+                        else 0.0
                     ),
                 }
             )

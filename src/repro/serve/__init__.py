@@ -39,7 +39,6 @@ from repro.serve.backend import (
 )
 from repro.serve.batcher import MicroBatcher, PendingRequest
 from repro.serve.breaker import BreakerPolicy, CircuitBreaker
-from repro.serve.chaos import ChaosConfig
 from repro.serve.client import Client, HTTPClient
 from repro.serve.policy import DegradeController, ServePolicy
 from repro.serve.registry import (
@@ -56,6 +55,7 @@ from repro.serve.server import (
 )
 from repro.serve.service import InferenceService, PredictResult
 from repro.serve.slo import SLOPolicy, SLOTracker
+from repro.utils.chaos import ChaosConfig
 
 __all__ = [
     "MIN_TIER_LENGTH",

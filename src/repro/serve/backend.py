@@ -52,8 +52,8 @@ from repro.errors import (
     WorkerCrashError,
     WorkerTimeoutError,
 )
-from repro.serve.chaos import CRASH_EXIT_CODE, ChaosConfig
 from repro.serve.registry import ModelEntry
+from repro.utils.chaos import CRASH_EXIT_CODE, ChaosConfig
 
 __all__ = [
     "ExecutionBackend",

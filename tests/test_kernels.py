@@ -476,3 +476,120 @@ class TestSparseDenseIdentity:
         skipped = counters.get("sc.kernels.skipped_words", 0)
         assert nnz > before.get("sc.kernels.nnz_words", 0) or nnz > 0
         assert skipped > 0
+
+
+# ---------------------------------------------------------------------------
+# Lane packing: two <=32-bit streams per uint64 word
+# ---------------------------------------------------------------------------
+
+from repro.sc.kernels import stream_lanes  # noqa: E402
+from repro.scnn.sim import _reduce_products  # noqa: E402
+
+
+def _reference_engine_counts(table, act_rows, cols, wp, wn, mode):
+    """Counts from the reference engine's per-channel reduction
+    (``repro.scnn.sim._reduce_products``), with the flat output extent
+    ``P`` standing in for ``(OH, OW) = (P, 1)``."""
+    mode = AccumulationMode.parse(mode)
+    act = table[act_rows[None, :, :, :, None], cols][:, :, :, :, :, None]
+    out = []
+    for co in range(wp.shape[0]):
+        pos = _reduce_products(act & wp[co][None, :, :, :, None, None], mode)
+        neg = _reduce_products(act & wn[co][None, :, :, :, None, None], mode)
+        out.append((pos - neg)[..., 0])  # (N, P)
+    return np.stack(out, axis=1)
+
+
+class TestLanePacking:
+    @given(
+        mode=st.sampled_from(MODES),
+        length=st.sampled_from((8, 16, 32, 64, 128)),
+        n=st.integers(1, 3),
+        p=st.sampled_from((1, 2, 5, 8, 9)),
+        kernel=st.sampled_from(((1, 1, 1), (2, 1, 3), (2, 2, 2), (3, 3, 1))),
+        cout=st.integers(1, 3),
+        zero_share=st.sampled_from((0.0, 0.5, 0.9)),
+        workers=st.sampled_from((1, 2)),
+        path=st.sampled_from(("dense", "sparse", "auto")),
+        layout=st.sampled_from(("auto", "k_inner", "s_outer")),
+        spatial_chunk=st.sampled_from((0, 1, 3)),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_fused_matches_reference_engine(
+        self, mode, length, n, p, kernel, cout, zero_share, workers, path,
+        layout, spatial_chunk, seed,
+    ):
+        cin, kh, kw = kernel
+        k = cin * kh * kw
+        bits = 4
+        rng = np.random.default_rng(seed)
+        seeds = np.arange(1, 1 + k + cout)
+        table, unique = stream_table(LFSRSource(bits), bits, length, seeds, False)
+        act_rows = np.searchsorted(unique, seeds[:k].reshape(cin, kh, kw))
+        cols = rng.integers(0, 1 << bits, size=(n, cin, kh, kw, p))
+        cols[rng.random(cols.shape) < zero_share] = 0
+        w_rows = np.searchsorted(unique, seeds[k:])[:, None, None, None]
+        wq = rng.integers(0, 1 << bits, size=(cout, cin, kh, kw))
+        wp = table[w_rows, wq]
+        wn = table[w_rows, rng.integers(0, 1 << bits, size=wq.shape)]
+        stats = {}
+        got = fused_conv_counts(
+            table, act_rows, cols, wp, wn, mode,
+            num_workers=workers,
+            plan=ExecPlan(path=path, layout=layout, spatial_chunk=spatial_chunk),
+            length=length,
+            stats=stats,
+        )
+        want = _reference_engine_counts(table, act_rows, cols, wp, wn, mode)
+        np.testing.assert_array_equal(got, want)
+        two_lanes = length <= 32 and mode != "fxp"
+        assert stats["lanes"] == (2 if two_lanes else 1)
+        assert stats["path"] in ("dense", "sparse")
+        if stats["path"] == "dense":
+            assert stats["nnz_words"] == stats["skipped_words"] == 0
+
+    def test_stream_lanes_rule(self):
+        assert stream_lanes("pbw", 32) == 2
+        assert stream_lanes("sc", 8) == 2
+        assert stream_lanes("pbw", 64) == 1
+        assert stream_lanes("fxp", 32) == 1
+        assert stream_lanes("apc", None) == 1
+
+    def test_length_must_match_table_words(self):
+        table, act_rows, cols, wp, wn = _kernel_operands()
+        with pytest.raises(ShapeError):
+            fused_conv_counts(table, act_rows, cols, wp, wn, "sc", length=128)
+
+    def test_unknown_length_runs_one_lane(self):
+        operands = _kernel_operands(seed=31)
+        stats = {}
+        fused_conv_counts(*operands, "pbw", stats=stats)
+        assert stats["lanes"] == 1
+
+    def test_sparse_words_halve_at_two_lanes(self):
+        # Realized words count packed words: two lanes per word halve them.
+        table, act_rows, cols, wp, wn = _kernel_operands(seed=37, p=16)
+        cols = cols.copy()
+        cols[..., ::2] = 0
+        one, two = {}, {}
+        plan = ExecPlan(path="sparse")
+        fused_conv_counts(table, act_rows, cols, wp, wn, "sc", plan=plan, stats=one)
+        fused_conv_counts(
+            table, act_rows, cols, wp, wn, "sc", plan=plan, length=32, stats=two
+        )
+        total_one = one["nnz_words"] + one["skipped_words"]
+        assert two["nnz_words"] + two["skipped_words"] == total_one // 2
+
+    def test_lane_counters_exported(self):
+        from repro import obs
+
+        if not obs.enabled():
+            pytest.skip("telemetry disabled in this environment")
+        operands = _kernel_operands(seed=41)
+        obs.reset()
+        fused_conv_counts(*operands, "pbw", length=32)
+        fused_conv_counts(*operands, "fxp", length=32)
+        counters = obs.get_registry().counters()
+        assert counters.get("sc.kernels.lanes.2") == 1
+        assert counters.get("sc.kernels.lanes.1") == 1

@@ -29,7 +29,7 @@ from repro.serve.backend import (
     make_backend,
 )
 from repro.serve.breaker import CLOSED, HALF_OPEN, OPEN, BreakerPolicy, CircuitBreaker
-from repro.serve.chaos import ChaosConfig
+from repro.utils.chaos import ChaosConfig
 from repro.serve.policy import DegradeController, ServePolicy
 from repro.serve.registry import ModelRegistry
 from repro.utils.retry import RetryPolicy, call_with_retry

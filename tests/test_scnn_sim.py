@@ -374,3 +374,86 @@ class TestLinearGroupFolding:
                 outs.append(sim(x, w))
         for other in outs[1:]:
             np.testing.assert_array_equal(outs[0], other)
+
+
+class TestKernelStatsAttribution:
+    """Per-layer kernel stats come from each forward's own fused calls,
+    so concurrent forwards of different layers never see each other's
+    words (process-global counter deltas would)."""
+
+    _STAT_KEYS = ("kernel_path", "kernel_layout", "lanes", "nnz_words",
+                  "skipped_words")
+
+    def _layers(self):
+        rng = np.random.default_rng(5)
+        layers = []
+        # Zero shares high enough that "auto" picks the sparse path, so
+        # both layers report non-zero realized words.
+        for index, (mode, cin, size, zeros) in enumerate(
+            (("fxp", 4, 12, 0.8), ("pbhw", 2, 10, 0.95))
+        ):
+            x = rng.uniform(0, 1, size=(4, cin, size, size)).astype(np.float32)
+            x[rng.random(x.shape) < zeros] = 0.0
+            w = rng.uniform(-0.4, 0.4, size=(5, cin, 3, 3)).astype(np.float32)
+            cfg = SCConfig(
+                stream_length=32, stream_length_pooling=32, accumulation=mode
+            )
+            layers.append(
+                (SCConvSimulator((5, cin, 3, 3), cfg, layer_index=index), x, w)
+            )
+        return layers
+
+    def _stats(self, kind):
+        """``{layer_index: {stats tuple}}`` from profiles or spans."""
+        from repro import obs
+
+        reg = obs.get_registry()
+        if kind == "profile":
+            records = [(r["layer_index"], r) for r in reg.profiles]
+        else:
+            records = [
+                (s.attrs["layer"], s.attrs)
+                for s in reg.spans
+                if s.name == "scnn.conv_forward"
+            ]
+        by_layer = {}
+        for layer, rec in records:
+            stats = tuple(rec[name] for name in self._STAT_KEYS)
+            by_layer.setdefault(layer, set()).add(stats)
+        return by_layer
+
+    def test_concurrent_forwards_match_serial_stats(self):
+        import threading
+
+        from repro import obs
+
+        layers = self._layers()
+        with obs.enabled_scope(True):
+            obs.reset()
+            for sim, x, w in layers:
+                sim(x, w)
+            serial = {kind: self._stats(kind) for kind in ("profile", "span")}
+            assert all(
+                len(stats) == 1 for stats in serial["profile"].values()
+            )
+            nnz = [next(iter(serial["profile"][i]))[3] for i in (0, 1)]
+            assert all(nnz) and nnz[0] != nnz[1]  # distinct sparse layers
+
+            obs.reset()
+            barrier = threading.Barrier(len(layers))
+
+            def forward(sim, x, w):
+                barrier.wait(timeout=60)
+                for _ in range(3):
+                    sim(x, w)
+
+            threads = [
+                threading.Thread(target=forward, args=layer) for layer in layers
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+            for kind in ("profile", "span"):
+                assert self._stats(kind) == serial[kind]

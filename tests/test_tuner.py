@@ -83,6 +83,11 @@ class TestPlanKey:
         b = tuner.plan_key("pbw", 2, 3, 3, 3, 4, 11, 1)
         assert a != b
 
+    def test_lanes_distinct_keys(self):
+        one = tuner.plan_key("pbw", 2, 3, 3, 3, 4, 10, 1)
+        two = tuner.plan_key("pbw", 2, 3, 3, 3, 4, 10, 1, lanes=2)
+        assert one != two
+
     def test_density_buckets_quantize(self):
         low = tuner.plan_key("sc", 1, 1, 1, 1, 1, 1, 1, zero_frac=0.05)
         low2 = tuner.plan_key("sc", 1, 1, 1, 1, 1, 1, 1, zero_frac=0.2)
@@ -216,6 +221,24 @@ class TestPlanFor:
         tuner.plan_for(table, act_rows, cols, wp, wn, "pbw", zero_frac=0.95)
         assert cache.tunes == 2
         assert len(cache) == 2
+
+    def test_lane_counts_tune_separately(self):
+        # Lengths 32 and 64 both fit one word, but only 32 runs two lanes
+        # per word: a plan tuned for one shape must not serve the other.
+        cache = tuner.get_plan_cache()
+        tuner.plan_for(*make_operands(length=32), "pbw", length=32)
+        tuner.plan_for(*make_operands(length=64), "pbw", length=64)
+        assert cache.tunes == 2
+        assert len(cache) == 2
+
+    def test_tuned_two_lane_call_bit_identical(self):
+        operands = make_operands()
+        for mode in ("sc", "pbw", "pbhw", "fxp", "apc"):
+            base = fused_conv_counts(*operands, mode, autotune=False)
+            tuned = fused_conv_counts(
+                *operands, mode, autotune=True, length=32
+            )
+            np.testing.assert_array_equal(tuned, base)
 
     def test_tune_seeded_per_key(self):
         # Same key -> same candidate ordering -> deterministic given
