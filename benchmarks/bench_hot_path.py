@@ -9,9 +9,10 @@ every accumulation mode under four arms:
 * ``reference`` — ``engine="reference"`` with the native
   ``np.bitwise_count`` popcount (isolates the popcount switch).
 * ``fused``     — the fused bit-kernel engine, single worker.
-* ``fused_mt``  — the fused engine with one worker per available CPU
-  (on a single-CPU machine this arm documents, rather than shows,
-  thread scaling).
+* ``fused_mt``  — the fused engine sharded across every available CPU
+  (what ``num_workers=0`` resolves to in a process with no busy
+  siblings; on a single-CPU machine this arm documents, rather than
+  shows, thread scaling).
 * ``tuned``     — the fused engine with ``autotune=True``: execution
   plans resolved by :mod:`repro.sc.tuner` against a fresh in-process
   plan cache. The first forward pays the tuning; the report records it
@@ -167,10 +168,12 @@ def run_density_sweep(reps: int = 3) -> dict:
         sweep[mode] = {}
         for density in DENSITIES:
             operands = _sweep_operands(mode, density)
+            # Serial: the sweep compares paths, and sparse calls never
+            # shard, so a sharded dense arm would measure threads instead.
             dense = fused_conv_counts(
-                *operands, mode, plan=ExecPlan(path="dense")
+                *operands, mode, num_workers=1, plan=ExecPlan(path="dense")
             )
-            auto = fused_conv_counts(*operands, mode)
+            auto = fused_conv_counts(*operands, mode, num_workers=1)
             if not np.array_equal(dense, auto):
                 raise AssertionError(
                     f"sparse/dense mismatch: mode={mode} density={density}"
@@ -183,7 +186,9 @@ def run_density_sweep(reps: int = 3) -> dict:
                 best = math.inf
                 for _ in range(reps):
                     t0 = time.perf_counter()
-                    fused_conv_counts(*operands, mode, plan=plan)
+                    fused_conv_counts(
+                        *operands, mode, num_workers=1, plan=plan
+                    )
                     best = min(best, time.perf_counter() - t0)
                 cell[label] = best
             cell["auto_vs_dense"] = cell["dense_s"] / cell["auto_s"]
@@ -255,9 +260,8 @@ def run_hot_path(reps: int = 5) -> dict:
     if ncpu <= 1:
         machine["multicore_note"] = (
             "bench host exposes a single vCPU: the fused_mt arm measures "
-            "sharding overhead, not scaling. A real num_workers>1 scaling "
-            "run is still owed when a multi-core host is available "
-            "(ROADMAP engine item)."
+            "sharding overhead, not scaling (EXPERIMENTS.md 'Multi-core "
+            "kernels' has a 2-CPU run)."
         )
 
     return {
@@ -295,6 +299,7 @@ def run_hot_path(reps: int = 5) -> dict:
             "'seed' is the pre-fused hot path (reference engine + byte-LUT "
             "popcount). Worker scaling (fused_mt) requires >1 CPU; on a "
             "single-CPU machine it measures sharding overhead instead. "
+            "The density sweep runs serially. "
             "'tuned' resolves plans through repro.sc.tuner against a fresh "
             "in-process cache; autotune.first_forward_s carries the one-time "
             "tuning cost, the steady column runs entirely on plan-cache "

@@ -36,6 +36,7 @@ from repro.cluster.health import HealthPolicy, ReplicaHealth
 from repro.cluster.placement import PlacementRing
 from repro.serve.backend import pool_context
 from repro.serve.policy import ServePolicy
+from repro.utils import parallel
 
 __all__ = ["ClusterModel", "ReplicaManager"]
 
@@ -68,8 +69,13 @@ def _replica_main(
     policy: "ServePolicy",
     host: str,
     trace_sample: int,
+    busy_replicas: int = 1,
 ) -> None:
     """Replica process entry: build, warm, serve, answer heartbeats.
+
+    ``busy_replicas`` (the manager's replica count) sets this process's
+    kernel share: replicas serve at once, so each gets ``cpu_count() //
+    busy_replicas`` kernel shards.
 
     The ``ready`` message is sent only after every model registered
     (``warm=True`` pre-executes all tiers) — the warm-migration
@@ -82,6 +88,7 @@ def _replica_main(
     from repro.serve.service import InferenceService
 
     obs.reset()  # a fresh registry: this process's telemetry only
+    parallel.set_busy_siblings(busy_replicas)
     registry = ModelRegistry()
     for spec in models:
         registry.register(
@@ -261,6 +268,7 @@ class ReplicaManager:
                 self.policy,
                 self.host,
                 self.trace_sample,
+                self.num_replicas,
             ),
             name=f"cluster-{rid}",
             daemon=True,

@@ -14,36 +14,40 @@ Design notes
 * Graph nodes hold a closure ``_backward`` that scatters the node's output
   gradient into its parents; :meth:`Tensor.backward` runs the closures in
   reverse topological order exactly once.
-* A module-level :func:`no_grad` context disables graph construction —
-  used by evaluation loops and by the SC forward simulation.
+* A :func:`no_grad` context disables graph construction on the calling
+  thread — used by evaluation loops and by the SC forward simulation.
+  The flag is per thread, so a serving thread's ``no_grad`` never turns
+  off autograd in a thread that is training.
 """
 
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Callable, Iterable
 
 import numpy as np
 
 from repro.errors import GradientError
 
-_grad_enabled = True
+_grad_mode = threading.local()
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Context manager disabling autograd graph construction."""
-    global _grad_enabled
-    previous = _grad_enabled
-    _grad_enabled = False
+    """Context manager disabling autograd graph construction on the
+    calling thread."""
+    previous = is_grad_enabled()
+    _grad_mode.enabled = False
     try:
         yield
     finally:
-        _grad_enabled = previous
+        _grad_mode.enabled = previous
 
 
 def is_grad_enabled() -> bool:
-    return _grad_enabled
+    """Whether the calling thread builds autograd graphs (default on)."""
+    return getattr(_grad_mode, "enabled", True)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -83,7 +87,7 @@ class Tensor:
         _backward: Callable[[np.ndarray], None] | None = None,
     ):
         self.data = np.asarray(data, dtype=np.float32)
-        self.requires_grad = bool(requires_grad) and _grad_enabled
+        self.requires_grad = bool(requires_grad) and is_grad_enabled()
         self.grad: np.ndarray | None = None
         self._parents = _parents if self.requires_grad or _parents else ()
         self._backward = _backward
@@ -149,7 +153,7 @@ class Tensor:
         parents: tuple["Tensor", ...],
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
-        requires = _grad_enabled and any(p.requires_grad for p in parents)
+        requires = is_grad_enabled() and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires)
         if requires:
             out._parents = parents

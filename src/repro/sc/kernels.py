@@ -85,10 +85,15 @@ with value 0, whose count is dropped). FXP keeps one lane per word: its
 signed-magnitude pass is popcount-epilogue-bound (one group per product)
 and measured no faster with two lanes.
 
-Sharding (``num_workers``) splits the spatial axis (or the channel axis
-for pointwise/FC shapes) across the shared thread pool of
+Sharding (``num_workers``, by default the process's kernel share) splits
+the spatial axis (or the channel axis for pointwise/FC shapes) of a dense
+call across the calling thread and the shard helpers of
 :mod:`repro.utils.parallel`; numpy releases the GIL inside the kernels,
-so threads scale without copying the stream tables.
+so threads scale without copying the stream tables. Every dense shard
+works in buffers the calling thread allocates once per call
+(:class:`_Scratch`), and the ``s_outer`` slab budget is per call, so a
+sharded call peaks at the memory of a serial one. Sparse calls run on the
+calling thread: their compaction buffers depend on the data.
 """
 
 from __future__ import annotations
@@ -102,7 +107,7 @@ from repro.obs import get_registry
 from repro.sc.accumulate import AccumulationMode
 from repro.utils import bitops
 from repro.utils.bitops import packed_words, popcount_packed
-from repro.utils.parallel import parallel_map, resolve_workers, shard_slices
+from repro.utils.parallel import kernel_call, parallel_map, shard_slices
 
 #: Peak bytes one product slab may occupy. Deliberately cache-sized:
 #: the slab is written by the AND and immediately consumed by the
@@ -380,19 +385,23 @@ def _chunk_sizes(
 
 
 def _souter_chunks(
-    n: int, m: int, k: int, words: int, p: int, plan: ExecPlan
+    n: int, m: int, k: int, words: int, p: int, plan: ExecPlan,
+    shards: int = 1,
 ) -> tuple[int, int]:
     """Spatial / channel-block chunks for the ``s_outer`` layout.
 
     The slab spans the full kernel-position extent per spatial column
     (``per_unit = n * k * words * 8`` bytes), so the budget floor is
     :data:`_SOUTER_SLAB_BYTES`: the layout's whole point is long
-    contiguous spatial runs, and a tight budget would shorten them.
-    The spatial chunk has priority (it sets the AND's stride-0 run
-    length); the channel block shrinks first to fit.
+    contiguous spatial runs, and a tight budget would shorten them. The
+    budget is per call: a call sharded ``shards`` ways gives each shard
+    an equal part, so sharding never multiplies the slab memory (the
+    slabs live in the shared last-level cache anyway). The spatial chunk
+    has priority (it sets the AND's stride-0 run length); the channel
+    block shrinks first to fit.
     """
     per_unit = max(1, n * k * words * 8)
-    budget = max(plan.slab_bytes, _SOUTER_SLAB_BYTES)
+    budget = max(plan.slab_bytes, _SOUTER_SLAB_BYTES) // max(1, shards)
     mb = min(m, max(1, plan.channel_block))
     pc = min(p, plan.spatial_chunk) if plan.spatial_chunk > 0 else p
     while mb > 1 and per_unit * mb * pc > budget:
@@ -460,56 +469,85 @@ def _lane_columns(cols_flat: np.ndarray, lanes: int) -> np.ndarray:
     return cols_flat.reshape(n, k, -1, lanes)
 
 
-def _gather(table: np.ndarray, rows: np.ndarray, vals: np.ndarray) -> np.ndarray:
+def _gather(
+    table: np.ndarray,
+    rows: np.ndarray,
+    vals: np.ndarray,
+    scratch: "_Scratch | None" = None,
+) -> np.ndarray:
     """Packed activation words ``table[rows, vals]`` with lanes combined.
 
-    ``vals`` carries a trailing lane axis. Two lanes are gathered by flat
-    ``np.take`` on the one-word table and merged as ``lo | hi << 32``.
+    ``vals`` carries a trailing lane axis. Each lane is gathered by a flat
+    ``np.take`` on the one-word-per-value table at ``row * 2**bits +
+    value``; two lanes merge as ``lo | hi << 32``. With ``scratch`` the
+    indices and words land in its preallocated buffers (contiguous prefix
+    views of them), so a dense shard allocates nothing per chunk.
     """
-    if vals.shape[-1] == 1:
-        return table[rows, vals[..., 0]]
-    flat = table.reshape(-1)
-    base = rows * table.shape[1]
-    words = np.take(flat, base + vals[..., 0])
-    high = np.take(flat, base + vals[..., 1])
-    high <<= np.uint64(LANE_BITS)
-    words |= high
-    return words[..., None]
+    words = table.shape[-1]
+    flat = table.reshape(-1, words)
+    base = rows * table.shape[1]  # broadcasts against ``vals``
+    shape = vals.shape[:-1]
+    cells = vals.size // vals.shape[-1]
+    if scratch is None:
+        index = np.empty(shape, dtype=np.int64)
+        act = np.empty(shape + (words,), dtype=np.uint64)
+    else:
+        index = scratch.index[:cells].reshape(shape)
+        act = scratch.act[: cells * words].reshape(shape + (words,))
+    np.add(base, vals[..., 0], out=index)
+    # Indices are in range by construction; "clip" writes straight into
+    # ``out``, where the default "raise" would fill a temporary copy.
+    np.take(flat, index, axis=0, out=act, mode="clip")
+    if vals.shape[-1] == 2:  # one-word streams only
+        high = (
+            np.empty(shape, dtype=np.uint64)
+            if scratch is None
+            else scratch.high[:cells].reshape(shape)
+        )
+        np.add(base, vals[..., 1], out=index)
+        np.take(flat[:, 0], index, out=high, mode="clip")
+        high <<= np.uint64(LANE_BITS)
+        act[..., 0] |= high
+    return act
 
 
-def _lane_popcounts(
-    merged: np.ndarray, lanes: int, axis: int | None = None
+def _group_popcounts(
+    merged: np.ndarray, bits: np.ndarray | None = None
 ) -> np.ndarray:
-    """Per-lane int64 popcounts ``(..., lanes)`` of merged group words,
-    summed over ``axis`` when given. Lane 0 is ``popcount(x & 0xFFFFFFFF)``,
-    lane 1 is ``popcount(x) - lane0``; two lanes clobber ``merged``
-    (always a scratch buffer)."""
-
-    def count() -> np.ndarray:
-        per_group = _group_popcounts(merged)
-        if axis is None:
-            return per_group.astype(np.int64, copy=False)
-        return per_group.sum(axis=axis, dtype=np.int64)
-
-    total = count()
-    if lanes == 1:
-        return total[..., None]
-    np.bitwise_and(merged, _LANE0_MASK, out=merged)
-    lane0 = count()
-    return np.stack((lane0, total - lane0), axis=-1)
-
-
-def _group_popcounts(merged: np.ndarray) -> np.ndarray:
     """Popcount of ``(..., words)`` merged words, summed over words.
 
     One-word streams with native popcount return the ufunc's ``uint8``
-    counts as is, skipping an int64 intermediate per group word; callers
-    widen when they reduce."""
+    counts as is (written into ``bits`` when given), skipping an int64
+    intermediate per group word; callers widen when they reduce."""
     if merged.shape[-1] == 1 and bitops.USE_NATIVE_POPCOUNT and (
         bitops.HAS_NATIVE_POPCOUNT
     ):
-        return np.bitwise_count(merged[..., 0])
+        return np.bitwise_count(merged[..., 0], out=bits)
     return popcount_packed(merged)
+
+
+def _lane_counts(
+    merged: np.ndarray,
+    bits: np.ndarray | None,
+    axis: int | tuple,
+    out: np.ndarray,
+) -> None:
+    """Per-lane popcounts of merged group words into ``out[..., lane]``,
+    summed over the words and the group ``axis`` (``()``: no group
+    axis). Lane 0 is ``popcount(x & 0xFFFFFFFF)``, lane 1 is
+    ``popcount(x) - lane0``; two lanes clobber ``merged`` (always a
+    scratch buffer)."""
+    np.add.reduce(
+        _group_popcounts(merged, bits), axis=axis, dtype=np.int64,
+        out=out[..., -1],
+    )
+    if out.shape[-1] == 2:
+        np.bitwise_and(merged, _LANE0_MASK, out=merged)
+        np.add.reduce(
+            _group_popcounts(merged, bits), axis=axis, dtype=np.int64,
+            out=out[..., 0],
+        )
+        out[..., 1] -= out[..., 0]
 
 
 def _grouped_gather_indices(
@@ -552,6 +590,48 @@ def _grouped_weights(
     return np.ascontiguousarray(weights[:, group_k])
 
 
+class _Scratch:
+    """Buffers of one dense shard, allocated once per call on the
+    calling thread and reused by every chunk of the shard.
+
+    A helper thread that allocates its own chunk temporaries leaves them,
+    freed, in its own malloc arena, which keeps that memory resident
+    beside the calling thread's arena. Allocating the gather indices and
+    words, the product slab, the merged group words and the popcount
+    bytes here keeps a sharded call's peak memory that of a serial one.
+    ``pc``/``mb`` are the shard's spatial and channel-block chunk sizes.
+    """
+
+    __slots__ = ("pc", "mb", "index", "act", "high", "slab", "merged", "bits")
+
+    def __init__(self, kernel, n, g, s, words, lanes, span, plan, shards):
+        p_span, m_span = span
+        m_total = m_span.stop - m_span.start
+        p_total = p_span.stop - p_span.start
+        if kernel is _souter_grouped_counts:
+            pc, mb = _souter_chunks(
+                n, m_total, g * s, words, p_total, plan, shards
+            )
+            slab = (n, mb, s, g, pc, words)
+            merged = (n, mb, g, pc, words)
+        else:
+            pc, mb = _chunk_sizes(
+                n, m_total, g, s, words, p_total, plan.slab_bytes,
+                channel_block=plan.channel_block,
+                spatial_chunk=plan.spatial_chunk,
+            )
+            slab = (n, mb, pc, g, s, words)
+            merged = (n, mb, pc, g, words)
+        cells = n * pc * g * s
+        self.pc, self.mb = pc, mb
+        self.index = np.empty(cells, dtype=np.int64)
+        self.act = np.empty(cells * words, dtype=np.uint64)
+        self.high = np.empty(cells, dtype=np.uint64) if lanes == 2 else None
+        self.slab = np.empty(slab, dtype=np.uint64)
+        self.merged = np.empty(merged, dtype=np.uint64) if s > 1 else None
+        self.bits = np.empty(merged[:-1], dtype=np.uint8)
+
+
 def _grouped_counts(
     table: np.ndarray,
     rows_g: np.ndarray,
@@ -563,35 +643,26 @@ def _grouped_counts(
     m_span: slice,
     plan: ExecPlan,
     group_weights: np.ndarray | None = None,
+    scratch: _Scratch | None = None,
 ) -> None:
     """Fill ``counts[:, m_span, p_span]`` for one shard (dense sweep).
 
     ``counts`` is ``(N, M, P', lanes)`` over packed positions; every
-    shard kernel shares this signature. The product slab and merged
-    buffers are allocated once per shard and reused across every chunk;
-    the slab is cache-sized, so products are written, OR-merged, and
-    popcounted without touching DRAM. When ``group_weights`` is given
-    (signed-magnitude FXP path, one lane), group counts are combined as
-    ``sum_g gw[m, g] * count_g`` instead of a plain sum.
+    shard kernel shares this signature. Dense kernels work entirely in
+    the caller-allocated ``scratch``; the slab is cache-sized, so
+    products are written, OR-merged, and popcounted without touching
+    DRAM. When ``group_weights`` is given (signed-magnitude FXP path, one
+    lane), group counts are combined as ``sum_g gw[m, g] * count_g``
+    instead of a plain sum.
     """
     n = cols_g.shape[0]
     words = table.shape[-1]
-    lanes = counts.shape[-1]
     g, s = w_g.shape[1:3]
-    m_total = m_span.stop - m_span.start
-    p_total = p_span.stop - p_span.start
-    pc, mb = _chunk_sizes(
-        n, m_total, g, s, words, p_total, plan.slab_bytes,
-        channel_block=plan.channel_block, spatial_chunk=plan.spatial_chunk,
-    )
-    slab = np.empty((n, mb, pc, g, s, words), dtype=np.uint64)
-    merged = (
-        np.empty((n, mb, pc, g, words), dtype=np.uint64) if s > 1 else None
-    )
+    pc, mb = scratch.pc, scratch.mb
     for lo in range(p_span.start, p_span.stop, pc):
         hi = min(lo + pc, p_span.stop)
         width = hi - lo
-        act = _gather(table, rows_g[None, None, :], cols_g[:, lo:hi])
+        act = _gather(table, rows_g[None, None, :], cols_g[:, lo:hi], scratch)
         if zero_slots is not None:
             act[:, :, zero_slots] = 0
         # (N, Pc, K', words) -> broadcastable (N, 1, Pc, G, S, words)
@@ -599,7 +670,7 @@ def _grouped_counts(
         for m_lo in range(m_span.start, m_span.stop, mb):
             m_hi = min(m_lo + mb, m_span.stop)
             m_width = m_hi - m_lo
-            slab_view = slab[:, :m_width, :width]
+            slab_view = scratch.slab[:, :m_width, :width]
             np.bitwise_and(
                 act_b,
                 w_g[m_lo:m_hi][None, :, None],
@@ -610,7 +681,7 @@ def _grouped_counts(
             elif s <= _SMALL_GROUP_OR:
                 # ufunc.reduce over a tiny axis pays per-output setup
                 # costs; a handful of sliced ORs is much faster (APC).
-                merged_view = merged[:, :m_width, :width]
+                merged_view = scratch.merged[:, :m_width, :width]
                 np.bitwise_or(
                     slab_view[:, :, :, :, 0],
                     slab_view[:, :, :, :, 1],
@@ -621,18 +692,18 @@ def _grouped_counts(
                         merged_view, slab_view[:, :, :, :, i], out=merged_view
                     )
             else:
-                merged_view = merged[:, :m_width, :width]
+                merged_view = scratch.merged[:, :m_width, :width]
                 np.bitwise_or.reduce(slab_view, axis=4, out=merged_view)
+            bits = scratch.bits[:, :m_width, :width]
             if group_weights is None:
-                counts[:, m_lo:m_hi, lo:hi] = _lane_popcounts(
-                    merged_view, lanes, axis=3
-                )
+                _lane_counts(merged_view, bits, 3, counts[:, m_lo:m_hi, lo:hi])
             else:
-                counts[:, m_lo:m_hi, lo:hi, 0] = np.einsum(
+                np.einsum(
                     "nmpg,mg->nmp",
-                    _group_popcounts(merged_view),  # (N, Mb, Pc, G)
+                    _group_popcounts(merged_view, bits),  # (N, Mb, Pc, G)
                     group_weights[m_lo:m_hi],
                     dtype=np.int64,
+                    out=counts[:, m_lo:m_hi, lo:hi, 0],
                 )
 
 
@@ -647,6 +718,7 @@ def _souter_grouped_counts(
     m_span: slice,
     plan: ExecPlan,
     group_weights: None = None,
+    scratch: _Scratch | None = None,
 ) -> None:
     """Fill ``counts[:, m_span, p_span]`` with the ``s_outer`` layout.
 
@@ -662,27 +734,22 @@ def _souter_grouped_counts(
     ``G * Pc * words`` contiguous planes. ``S == 1`` skips the merge
     entirely — the slab view *is* the merged tensor.
     """
-    n, k = cols_lanes.shape[:2]
+    n = cols_lanes.shape[0]
     words = table.shape[-1]
-    lanes = counts.shape[-1]
     s, g = w_nat.shape[1:3]
-    m_total = m_span.stop - m_span.start
-    p_total = p_span.stop - p_span.start
-    pc, mb = _souter_chunks(n, m_total, k, words, p_total, plan)
-    slab = np.empty((n, mb, s, g, pc, words), dtype=np.uint64)
-    merged = (
-        np.empty((n, mb, g, pc, words), dtype=np.uint64) if s > 1 else None
-    )
+    pc, mb = scratch.pc, scratch.mb
     for lo in range(p_span.start, p_span.stop, pc):
         hi = min(lo + pc, p_span.stop)
         width = hi - lo
-        act = _gather(table, rows_flat[None, :, None], cols_lanes[:, :, lo:hi])
+        act = _gather(
+            table, rows_flat[None, :, None], cols_lanes[:, :, lo:hi], scratch
+        )
         # (N, K, Pc, words) -> broadcastable (N, 1, S, G, Pc, words)
         act_b = act.reshape(n, 1, s, g, width, words)
         for m_lo in range(m_span.start, m_span.stop, mb):
             m_hi = min(m_lo + mb, m_span.stop)
             m_width = m_hi - m_lo
-            slab_view = slab[:, :m_width, :, :, :width]
+            slab_view = scratch.slab[:, :m_width, :, :, :width]
             np.bitwise_and(
                 act_b,
                 w_nat[m_lo:m_hi][None, :, :, :, None],
@@ -691,11 +758,14 @@ def _souter_grouped_counts(
             if s == 1:
                 merged_view = slab_view[:, :, 0]
             else:
-                merged_view = merged[:, :m_width, :, :width]
+                merged_view = scratch.merged[:, :m_width, :, :width]
                 np.bitwise_or.reduce(slab_view, axis=2, out=merged_view)
             # (N, Mb, G, Pc, words) -> (N, Mb, Pc, lanes)
-            counts[:, m_lo:m_hi, lo:hi] = _lane_popcounts(
-                merged_view, lanes, axis=2
+            _lane_counts(
+                merged_view,
+                scratch.bits[:, :m_width, :, :width],
+                2,
+                counts[:, m_lo:m_hi, lo:hi],
             )
 
 
@@ -710,6 +780,7 @@ def _sparse_grouped_counts(
     m_span: slice,
     plan: ExecPlan,
     group_weights: np.ndarray | None = None,
+    scratch: None = None,
 ) -> tuple[int, int]:
     """Fill ``counts[:, m_span, p_span]`` skipping all-zero words.
 
@@ -802,7 +873,7 @@ def _sparse_grouped_counts(
                 merged = prod[:, :, 0] | prod[:, :, 1]
                 for i in range(2, s):
                     merged = merged | prod[:, :, i]
-            cnt = _lane_popcounts(merged, lanes)  # (Rc, Mb, lanes)
+            cnt = _sparse_lane_counts(merged, lanes)  # (Rc, Mb, lanes)
             if gw_t is not None:
                 cnt = cnt * gw_t[gi_c][..., None]
             sums = np.add.reduceat(cnt, starts[pa:pb] - s0, axis=0)
@@ -826,11 +897,18 @@ def _sparse_grouped_counts(
                 act[:, zs[gi]] = 0
             prod = act[:, None] & w_run  # (Rc, Mb, S, words)
             merged = np.bitwise_or.reduce(prod, axis=2)
-            cnt = _lane_popcounts(merged, lanes)  # (Rc, Mb, lanes)
+            cnt = _sparse_lane_counts(merged, lanes)  # (Rc, Mb, lanes)
             if gw is not None:
                 cnt = cnt * gw[None, :, gi, None]
             counts[n_i[:, None], m_idx, (p_i + p_lo)[:, None]] += cnt
     return nnz_total, seen_total - nnz_total
+
+
+def _sparse_lane_counts(merged: np.ndarray, lanes: int) -> np.ndarray:
+    """``(Rc, Mb, lanes)`` counts of the sparse path's merged words."""
+    out = np.empty(merged.shape[:-1] + (lanes,), dtype=np.int64)
+    _lane_counts(merged, None, (), out)
+    return out
 
 
 def _count_kernel_ops(
@@ -954,7 +1032,7 @@ def fused_conv_counts(
     wp: np.ndarray,
     wn: np.ndarray,
     mode: AccumulationMode | str,
-    num_workers: int | None = 1,
+    num_workers: int | None = 0,
     slab_bytes: int = DEFAULT_SLAB_BYTES,
     plan: ExecPlan | None = None,
     autotune: bool | None = None,
@@ -978,7 +1056,9 @@ def fused_conv_counts(
     mode:
         Partial-binary accumulation mode.
     num_workers:
-        Worker-pool sharding (see :mod:`repro.utils.parallel`).
+        Shard count (see :mod:`repro.utils.parallel`): ``0`` is the
+        process's kernel share, split among the kernel calls running at
+        once (:func:`repro.utils.parallel.kernel_call`), ``1`` serial.
     slab_bytes:
         Product-slab chunking budget. Honored exactly when no explicit
         ``plan`` is given and the value differs from the default;
@@ -996,8 +1076,9 @@ def fused_conv_counts(
         per word. ``None`` runs one lane.
     stats:
         Optional dict filled with this call's ``path`` (``"dense"`` /
-        ``"sparse"``), ``layout``, ``lanes``, and realized
-        ``nnz_words`` / ``skipped_words`` (both 0 on the dense path).
+        ``"sparse"``), ``layout``, ``lanes``, ``shards`` (the shards it
+        ran as), and realized ``nnz_words`` / ``skipped_words`` (both 0
+        on the dense path).
 
     Returns
     -------
@@ -1006,6 +1087,18 @@ def fused_conv_counts(
         bit-identical to the reference per-channel reduction whichever
         plan, path or lane count executes it.
     """
+    with kernel_call(num_workers) as workers:
+        return _fused_conv_counts(
+            table, act_rows, cols, wp, wn, mode, workers, slab_bytes, plan,
+            autotune, length, stats,
+        )
+
+
+def _fused_conv_counts(
+    table, act_rows, cols, wp, wn, mode, workers, slab_bytes, plan,
+    autotune, length, stats,
+) -> np.ndarray:
+    """:func:`fused_conv_counts` with its shard count resolved."""
     mode = AccumulationMode.parse(mode)
     if cols.ndim != 5:
         raise ShapeError(f"cols must be (N, Cin, KH, KW, P), got {cols.shape}")
@@ -1031,7 +1124,6 @@ def fused_conv_counts(
     cols_flat = np.ascontiguousarray(cols).reshape(n, k, p)
     cols_lanes = _lane_columns(cols_flat, lanes)  # (N, K, P', lanes)
     p_packed = cols_lanes.shape[2]
-    workers = resolve_workers(num_workers)
     # Fraction of zero-valued quantized activations: value 0 encodes the
     # all-zero stream, so this is a cheap proxy for word-level sparsity.
     zero_frac = (
@@ -1113,16 +1205,27 @@ def fused_conv_counts(
     )
 
     counts = np.empty((n, m, p_packed, lanes), dtype=np.int64)
+    sparse = kernel is _sparse_grouped_counts
+    # The sparse kernel's compaction buffers depend on the data, so they
+    # cannot be preallocated; on a helper thread they would stay resident
+    # in its malloc arena. Sparse calls run on the calling thread.
+    spans = _shard_spans(p_packed, m, 1 if sparse else workers)
+    scratch = [
+        None if sparse else _Scratch(
+            kernel, n, g, s, words, lanes, span, plan, len(spans)
+        )
+        for span in spans
+    ]
 
-    def run(span: tuple[slice, slice]) -> tuple[int, int] | None:
-        p_span, m_span = span
+    def run(shard: int) -> tuple[int, int] | None:
+        p_span, m_span = spans[shard]
         return kernel(
             table, rows_g, cols_g, zero_slots, w_g,
-            counts, p_span, m_span, plan, group_weights,
+            counts, p_span, m_span, plan, group_weights, scratch[shard],
         )
 
-    shard_words = parallel_map(run, _shard_spans(p_packed, m, workers), workers)
-    sparse = kernel is _sparse_grouped_counts
+    shard_words = parallel_map(run, range(len(spans)), workers)
+    del scratch  # freed before the unpack below allocates the result
     nnz = sum(st[0] for st in shard_words) if sparse else 0
     skipped = sum(st[1] for st in shard_words) if sparse else 0
     if sparse:
@@ -1132,6 +1235,7 @@ def fused_conv_counts(
             path="sparse" if sparse else "dense",
             layout=layout,
             lanes=lanes,
+            shards=len(spans),
             nnz_words=nnz,
             skipped_words=skipped,
         )

@@ -12,9 +12,9 @@ closes that loop:
   (spatial extent capped at :data:`PROBE_P`, batch at :data:`PROBE_N`),
   keeps the fastest plan, and stores it.
 * Plans are keyed by ``(mode, layer shape, stream words, lanes per
-  word, density bucket)`` — see :func:`plan_key`. The density bucket
-  keeps sparse and dense workloads of the same shape from sharing a
-  plan.
+  word, shard count, density bucket)`` — see :func:`plan_key`. The
+  density bucket keeps sparse and dense workloads of the same shape from
+  sharing a plan.
 * :class:`PlanCache` holds plans in-process and optionally persists them
   as JSON (default ``~/.cache/geo-repro/plans.json``, override with the
   ``REPRO_PLAN_CACHE`` env var, disable disk with ``REPRO_PLAN_CACHE=off``).
@@ -65,7 +65,7 @@ __all__ = [
 ]
 
 #: On-disk cache schema version; bump when the JSON layout changes.
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 #: Default persistent cache location (see ``REPRO_PLAN_CACHE``).
 DEFAULT_CACHE_PATH = "~/.cache/geo-repro/plans.json"
@@ -102,6 +102,7 @@ def plan_key(
     words: int,
     zero_frac: float = 0.0,
     lanes: int = 1,
+    shards: int = 1,
 ) -> str:
     """Stable cache key for one fused-call signature.
 
@@ -110,12 +111,15 @@ def plan_key(
     without fragmenting the cache per exact density. ``lanes`` (streams
     per word, :func:`repro.sc.kernels.stream_lanes`) separates lengths
     that share a word count: 32 and 64 are both one word, but only 32
-    runs the two-lane kernels.
+    runs the two-lane kernels. ``shards`` is the resolved shard count
+    (:func:`repro.utils.parallel.resolve_shards`): each shard sees a
+    smaller spatial extent, so a plan tuned serially need not win
+    sharded.
     """
     bucket = min(3, int(max(0.0, min(1.0, zero_frac)) * 4))
     return (
         f"{mode}|n{n}|cin{cin}|kh{kh}|kw{kw}|cout{cout}"
-        f"|p{p}|w{words}|l{lanes}|z{bucket}"
+        f"|p{p}|w{words}|l{lanes}|s{shards}|z{bucket}"
     )
 
 
@@ -373,6 +377,9 @@ def plan_for(
 ) -> ExecPlan:
     """Resolve the execution plan for one fused call, tuning on miss.
 
+    ``workers`` is the call's resolved shard count; it is part of the
+    key and the candidates are timed at it.
+
     Cache hits cost one dict lookup; misses run :func:`_tune` on probe
     operands and persist the winner, so the *second* call with the same
     signature pays zero tuning overhead (within or across processes
@@ -385,6 +392,7 @@ def plan_for(
     key = plan_key(
         mode.value, n, cin, kh, kw, wp.shape[0], p,
         table.shape[-1], zero_frac, lanes=stream_lanes(mode, length),
+        shards=workers,
     )
     cache = get_plan_cache()
     plan = cache.lookup(key)

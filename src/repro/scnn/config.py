@@ -58,9 +58,12 @@ class SCConfig:
         Both are bit-identical; the reference engine exists for
         cross-checks and benchmarking.
     num_workers:
-        Worker threads the fused engine shards across: ``1`` serial,
-        ``n > 1`` that many workers, ``0`` one per available CPU. The
-        reference engine ignores this knob.
+        Threads the fused engine shards each kernel call across: ``0``
+        (default) the process's kernel share (``cpu_count() // busy
+        siblings``, split among the kernel calls running at once; see
+        :mod:`repro.utils.parallel`), ``1`` serial, ``n > 1`` that many.
+        The reference engine ignores this knob; results are
+        bit-identical either way.
     autotune:
         When true, the fused engine resolves its slab/chunk geometry and
         dense-vs-sparse path per layer shape through
@@ -81,7 +84,7 @@ class SCConfig:
     batch_chunk: int = 16
     trng_eval_freeze: bool = False
     engine: str = "fused"
-    num_workers: int = 1
+    num_workers: int = 0
     autotune: bool = False
 
     def __post_init__(self):
@@ -102,7 +105,7 @@ class SCConfig:
             )
         if self.num_workers < 0:
             raise ConfigurationError(
-                "num_workers must be >= 0 (0 = one worker per CPU)"
+                "num_workers must be >= 0 (0 = the process's kernel share)"
             )
 
     # -- derived ---------------------------------------------------------------

@@ -124,10 +124,13 @@ class MinibatchPool:
         # read by monitoring/serving threads while a run is live; the
         # lock is never held across a pooled batch.
         self._lock = threading.Lock()  # guards: counters, degraded, _consecutive_failures
+        # One batch is in flight at a time, so each worker may shard its
+        # kernels across every CPU.
         self.backend = ProcessPoolBackend(
             num_workers=num_workers,
             chaos=chaos,
             start_method=start_method,
+            busy_workers=1,
         )
 
     # -- lifecycle -----------------------------------------------------------

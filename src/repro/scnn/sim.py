@@ -17,7 +17,7 @@ every call, which is exactly the physical difference training exploits.
 The table is consumed by one of two interchangeable, bit-identical
 execution engines: the fused streaming kernels of
 :mod:`repro.sc.kernels` (``SCConfig.engine == "fused"``, the default,
-with optional multicore sharding via ``SCConfig.num_workers``) or the
+sharded across the process's CPU share via ``SCConfig.num_workers``) or the
 original per-output-channel reduction (``engine == "reference"``), kept
 for bit-exactness cross-checks.
 """
@@ -225,12 +225,15 @@ class _ExecState:
 
 def _merge_kernel_stats(total: dict, call: dict) -> None:
     """Fold one fused call's stats into a forward's ``kernel_path`` /
-    ``kernel_layout`` / ``lanes`` / word counts: words add up, and a
-    value that differs across batch chunks reads ``"mixed"``."""
+    ``kernel_layout`` / ``lanes`` / ``shards`` / word counts: words add
+    up, and a value that differs across batch chunks reads ``"mixed"``."""
     total["nnz_words"] += call["nnz_words"]
     total["skipped_words"] += call["skipped_words"]
     for key, name in (
-        ("kernel_path", "path"), ("kernel_layout", "layout"), ("lanes", "lanes")
+        ("kernel_path", "path"),
+        ("kernel_layout", "layout"),
+        ("lanes", "lanes"),
+        ("shards", "shards"),
     ):
         if total[key] is None:
             total[key] = call[name]
@@ -247,9 +250,9 @@ class SCConvSimulator:
 
     Two execution engines produce bit-identical outputs:
     ``cfg.engine == "fused"`` (default) runs the cache-blocked streaming
-    kernels of :mod:`repro.sc.kernels`, optionally sharded across
-    ``cfg.num_workers`` threads; ``"reference"`` keeps the original
-    per-output-channel reduction for cross-checks.
+    kernels of :mod:`repro.sc.kernels`, sharded per ``cfg.num_workers``
+    (by default the process's kernel share); ``"reference"`` keeps the
+    original per-output-channel reduction for cross-checks.
     """
 
     def __init__(
@@ -443,13 +446,15 @@ class SCConvSimulator:
         mode = cfg.accumulation
         bytes_touched = 0
         # This forward's own kernel stats, returned by each fused call so
-        # concurrent forwards never see each other's words. Path, layout
-        # and lanes stay None on the reference engine; the words count
-        # realized sparse-path sparsity (zero when the dense path ran).
+        # concurrent forwards never see each other's words. Path, layout,
+        # lanes and shards stay None on the reference engine; the words
+        # count realized sparse-path sparsity (zero when the dense path
+        # ran).
         kernel = {
             "kernel_path": None,
             "kernel_layout": None,
             "lanes": None,
+            "shards": None,
             "nnz_words": 0,
             "skipped_words": 0,
         }
@@ -551,7 +556,6 @@ class SCConvSimulator:
                     "bytes_touched": int(bytes_touched),
                     "wall_s": sp.wall_s,
                     "cpu_s": sp.cpu_s,
-                    "workers": cfg.num_workers,
                     **kernel,
                     "word_sparsity": (
                         float(kernel["skipped_words"] / touched)

@@ -53,6 +53,7 @@ from repro.errors import (
     WorkerTimeoutError,
 )
 from repro.serve.registry import ModelEntry
+from repro.utils import parallel
 from repro.utils.chaos import CRASH_EXIT_CODE, ChaosConfig
 
 __all__ = [
@@ -176,10 +177,15 @@ class InThreadBackend(ExecutionBackend):
 # -- process pool -------------------------------------------------------------
 
 
-def _worker_main(conn, worker_id: int, chaos_payload: dict | None) -> None:
+def _worker_main(
+    conn, worker_id: int, chaos_payload: dict | None, busy_workers: int = 1
+) -> None:
     """Entry point of one pool worker process.
 
-    Single-threaded request loop over a private duplex pipe. Messages:
+    ``busy_workers`` is how many pool workers compute at once; it sets
+    this process's kernel share
+    (:func:`repro.utils.parallel.set_busy_siblings`). Single-threaded
+    request loop over a private duplex pipe. Messages:
 
     * ``("load", name, model, tiers)`` → ``("loaded", name)`` — cache a
       model (pickled by the parent) plus its stream-length tier ladder;
@@ -214,6 +220,7 @@ def _worker_main(conn, worker_id: int, chaos_payload: dict | None) -> None:
     from repro.nn.tensor import Tensor, no_grad
     from repro.scnn.layers import set_stream_lengths
 
+    parallel.set_busy_siblings(busy_workers)
     chaos = (
         ChaosConfig.from_dict(chaos_payload) if chaos_payload else None
     )
@@ -392,6 +399,11 @@ class ProcessPoolBackend(ExecutionBackend):
     idle set once they signal ready, heartbeats idle workers, reaps
     anything dead, and respawns replacements to hold the pool at
     ``num_workers``.
+
+    ``busy_workers`` (default ``num_workers``) is how many workers the
+    owner keeps computing at once; each worker's fused kernels shard
+    across ``cpu_count() // busy_workers`` threads. Serving keeps every
+    worker busy; a training pool that runs one batch at a time passes 1.
     """
 
     name = "process"
@@ -406,12 +418,14 @@ class ProcessPoolBackend(ExecutionBackend):
         spawn_timeout_s: float = 120.0,
         load_timeout_s: float = 60.0,
         acquire_timeout_s: float = 30.0,
+        busy_workers: int | None = None,
     ):
         if num_workers < 1:
             raise ConfigurationError(
                 f"num_workers must be >= 1, got {num_workers}"
             )
         self.num_workers = num_workers
+        self.busy_workers = busy_workers or num_workers
         self.capacity = num_workers
         self.chaos = chaos
         self.heartbeat_interval_s = heartbeat_interval_s
@@ -540,7 +554,7 @@ class ProcessPoolBackend(ExecutionBackend):
         )
         process = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, worker_id, chaos_payload),
+            args=(child_conn, worker_id, chaos_payload, self.busy_workers),
             name=f"serve-worker-{worker_id}",
             daemon=True,
         )

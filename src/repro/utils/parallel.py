@@ -1,27 +1,47 @@
-"""Reusable worker pool for sharding bit-kernel work across cores.
+"""Thread pools for sharding bit-kernel work and dispatching batches.
 
 The fused SC kernels (:mod:`repro.sc.kernels`) spend essentially all of
 their time inside numpy ufuncs and fancy indexing, which release the GIL,
 so plain threads scale across cores without pickling the (large) packed
-stream tables the way a process pool would. The pool here is a lazily
-created, module-level :class:`~concurrent.futures.ThreadPoolExecutor`
-that is grown on demand and shared by every simulator in the process —
-creating a pool per forward pass would cost more than the sharded work.
+stream tables the way a process pool would. Two kinds of lazily created,
+module-level :class:`~concurrent.futures.ThreadPoolExecutor` are shared by
+every caller in the process — creating a pool per forward pass would cost
+more than the sharded work:
+
+* **shard pools** (:func:`parallel_map`): helper threads for kernel
+  shards. The calling thread always runs one shard itself and takes back
+  any shard no helper has started yet, so a call finishes even when every
+  helper is busy with another caller's shards — a kernel call made from a
+  serve-dispatch thread cannot deadlock. One pool per helper count, never
+  resized or shut down while the process computes.
+* **the dispatch pool** (:func:`submit`, :func:`get_pool`): the serving
+  dispatcher's threads, one batch each. Kernel calls never touch it.
 
 ``num_workers`` convention (used by :class:`repro.scnn.config.SCConfig`):
 
-* ``1``  — serial execution on the calling thread (the default);
-* ``n>1`` — shard across ``n`` worker threads;
-* ``0``  — auto: one worker per available CPU.
+* ``1``  — serial execution on the calling thread;
+* ``n>1`` — shard across ``n`` threads (the caller plus ``n - 1`` helpers);
+* ``0``  — auto (the default): the process's **kernel share**,
+  ``cpu_count() // busy siblings``, split evenly among the kernel calls
+  running in the process at that moment (:func:`kernel_call`). Code that
+  spawns compute processes declares how many of them it keeps busy at
+  once (:func:`set_busy_siblings` in each child), so two busy replicas
+  on two CPUs run their kernels serially instead of four threads
+  fighting for two cores; two serving threads that forward at once in
+  one process split its share the same way. The share applies to kernel
+  shards only; ``submit`` and the serving dispatcher resolve ``0`` to
+  one thread per CPU.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
+import sys
 import threading
 import time
-from concurrent.futures import FIRST_EXCEPTION, Future, ThreadPoolExecutor, wait
-from typing import Callable, Iterable, Sequence, TypeVar
+from concurrent.futures import Future, ThreadPoolExecutor, wait
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from repro import obs
 from repro.errors import ConfigurationError
@@ -33,6 +53,11 @@ _POOL: ThreadPoolExecutor | None = None
 _POOL_SIZE = 0
 _POOL_LOCK = threading.Lock()  # guards: _POOL, _POOL_SIZE
 
+_SHARD_POOLS: dict[int, ThreadPoolExecutor] = {}
+_BUSY_SIBLINGS = 1
+_RUNNING_KERNELS = 0
+_SHARD_LOCK = threading.Lock()  # guards: _SHARD_POOLS, _BUSY_SIBLINGS, _RUNNING_KERNELS
+
 
 def cpu_count() -> int:
     """Usable CPU count (respects affinity masks where available)."""
@@ -42,10 +67,46 @@ def cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def resolve_workers(num_workers: int | None) -> int:
-    """Normalize a ``num_workers`` knob to a concrete worker count.
+def set_busy_siblings(count: int) -> None:
+    """Declare how many compute processes, this one included, are kept
+    busy at once. Process spawners call this in each child: a
+    ``ReplicaManager`` passes its replica count, a serving
+    ``ProcessPoolBackend`` its worker count, a ``MinibatchPool`` 1."""
+    global _BUSY_SIBLINGS
+    if count < 1:
+        raise ConfigurationError(f"busy siblings must be >= 1, got {count}")
+    with _SHARD_LOCK:
+        _BUSY_SIBLINGS = int(count)
 
-    ``None``/``1`` mean serial, ``0`` means one worker per CPU, any other
+
+def kernel_share() -> int:
+    """Kernel shards a call may use: ``cpu_count() // busy siblings``
+    split among the kernel calls running in this process, at least 1."""
+    with _SHARD_LOCK:
+        split = _BUSY_SIBLINGS * max(1, _RUNNING_KERNELS)
+    return max(1, cpu_count() // split)
+
+
+@contextlib.contextmanager
+def kernel_call(num_workers: int | None) -> Iterator[int]:
+    """Count one kernel call as running for the ``with`` body and yield
+    its shard count (:func:`resolve_shards`). With ``0``, a call that
+    starts while others run gets ``kernel share // running calls``, so
+    threads that compute at once do not oversubscribe the process."""
+    global _RUNNING_KERNELS
+    with _SHARD_LOCK:
+        _RUNNING_KERNELS += 1
+    try:
+        yield resolve_shards(num_workers)
+    finally:
+        with _SHARD_LOCK:
+            _RUNNING_KERNELS -= 1
+
+
+def resolve_workers(num_workers: int | None) -> int:
+    """Normalize a dispatch ``num_workers`` knob to a thread count.
+
+    ``None``/``1`` mean serial, ``0`` means one thread per CPU, any other
     positive value is taken literally.
     """
     if num_workers is None:
@@ -59,14 +120,23 @@ def resolve_workers(num_workers: int | None) -> int:
     return int(num_workers)
 
 
+def resolve_shards(num_workers: int | None) -> int:
+    """Normalize a kernel ``num_workers`` knob to a shard count: like
+    :func:`resolve_workers`, except that ``0`` is the process's
+    :func:`kernel_share`."""
+    if num_workers == 0:
+        return kernel_share()
+    return resolve_workers(num_workers)
+
+
 def get_pool(workers: int) -> ThreadPoolExecutor:
-    """The shared pool, rebuilt to exactly ``workers`` threads.
+    """The dispatch pool of :func:`submit`, rebuilt to exactly
+    ``workers`` threads.
 
     A request for a *different* size than the current pool rebuilds it
-    (the old behaviour silently reused an oversized pool, so e.g. a
-    ``num_workers=2`` run after a ``num_workers=8`` run kept 8 threads
-    alive and measured the wrong configuration). Callers with a stable
-    ``num_workers`` knob hit the fast same-size path every time.
+    (the old behaviour silently reused an oversized pool and measured the
+    wrong configuration). Kernel shards never come here, so a kernel
+    call cannot resize or shut down the pool a dispatcher runs on.
     """
     global _POOL, _POOL_SIZE
     if workers < 1:
@@ -76,21 +146,39 @@ def get_pool(workers: int) -> ThreadPoolExecutor:
             if _POOL is not None:
                 _POOL.shutdown(wait=False)
             _POOL = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="sc-kernel"
+                max_workers=workers, thread_name_prefix="repro-dispatch"
             )
             _POOL_SIZE = workers
             obs.gauge("parallel.pool_size", unit="threads").set(workers)
         return _POOL
 
 
+def _shard_pool(helpers: int) -> ThreadPoolExecutor:
+    """The shard pool with exactly ``helpers`` threads (created once)."""
+    with _SHARD_LOCK:
+        pool = _SHARD_POOLS.get(helpers)
+        if pool is None:
+            pool = ThreadPoolExecutor(
+                max_workers=helpers, thread_name_prefix="sc-kernel"
+            )
+            _SHARD_POOLS[helpers] = pool
+        return pool
+
+
 def shutdown_pool() -> None:
-    """Tear down the shared pool (tests / interpreter shutdown)."""
+    """Tear down the dispatch and shard pools (tests / interpreter
+    shutdown)."""
     global _POOL, _POOL_SIZE
     with _POOL_LOCK:
         if _POOL is not None:
             _POOL.shutdown(wait=True)
         _POOL = None
         _POOL_SIZE = 0
+    with _SHARD_LOCK:
+        pools = list(_SHARD_POOLS.values())
+        _SHARD_POOLS.clear()
+    for pool in pools:
+        pool.shutdown(wait=True)
 
 
 def parallel_map(
@@ -98,23 +186,25 @@ def parallel_map(
     jobs: Sequence[_T],
     num_workers: int | None = 1,
 ) -> list[_R]:
-    """Apply ``fn`` to every job, sharded across the worker pool.
+    """Apply ``fn`` to every job, sharded across ``num_workers`` threads.
 
-    Serial (no pool, no thread hop) when the resolved worker count is 1
-    or there is at most one job.
+    Serial (no pool, no thread hop) when the resolved shard count
+    (:func:`resolve_shards`) is 1 or there is at most one job. Otherwise
+    jobs after the first go to a shard pool of ``workers - 1`` helpers
+    and the **calling thread runs the first job itself**, then walks the
+    rest in order: a job no helper has started yet is cancelled in the
+    pool and run on the calling thread, a started one is waited for.
+    Progress therefore never depends on a free helper. (A job is taken
+    back only once one GIL switch interval has passed since submission,
+    so a helper that was merely waking up still gets its job.)
 
-    **Fail-fast**: the first worker exception propagates to the caller
-    with its *original* traceback (the exception object raised inside
-    the worker, not a wrapper), and shards that have not started yet are
-    cancelled instead of running to completion — a 64-shard call whose
-    second shard raises does not burn 62 more shards' worth of work.
-    Shards already executing when the failure lands do finish (threads
-    cannot be preempted); their results are discarded. Cancelled shards
-    are counted on ``parallel.cancelled_shards``.
-
-    The pool is requested at the *resolved knob size* (stable across
-    calls) rather than the per-call job count, so varying shard counts
-    do not thrash the exact-size pool of :func:`get_pool`.
+    **Fail-fast**: the first exception propagates to the caller with its
+    *original* traceback (the exception object raised inside the shard,
+    not a wrapper), and jobs no helper has started are cancelled instead
+    of running to completion. Jobs already executing when the failure
+    lands do finish (threads cannot be preempted); their results are
+    discarded. Cancelled jobs are counted on ``parallel.cancelled_shards``
+    and jobs the caller took back on ``parallel.stolen_shards``.
 
     With telemetry enabled (:mod:`repro.obs`), each call records the
     per-shard task durations and two scaling health signals: the
@@ -122,44 +212,51 @@ def parallel_map(
     = perfectly parallel) and ``parallel.shard_imbalance`` (slowest
     shard / mean shard, 1.0 = perfectly balanced).
     """
-    resolved = resolve_workers(num_workers)
-    workers = min(resolved, len(jobs))
+    workers = min(resolve_shards(num_workers), len(jobs))
     if workers <= 1:
         return [fn(job) for job in jobs]
-    pool = get_pool(resolved)
+    pool = _shard_pool(workers - 1)
     reg = obs.get_registry()
     durations = [0.0] * len(jobs)
 
-    def run_one(index: int, job: _T) -> _R:
+    def run_one(index: int) -> _R:
         if not reg.enabled:
-            return fn(job)
+            return fn(jobs[index])
         t0 = time.perf_counter()
-        result = fn(job)
+        result = fn(jobs[index])
         durations[index] = time.perf_counter() - t0
         return result
 
     t0 = time.perf_counter()
-    futures = [pool.submit(run_one, i, job) for i, job in enumerate(jobs)]
-    wait(futures, return_when=FIRST_EXCEPTION)
-    failed = next(
-        (
-            f
-            for f in futures
-            if f.done() and not f.cancelled() and f.exception() is not None
-        ),
-        None,
-    )
-    if failed is not None:
+    futures = [pool.submit(run_one, i) for i in range(1, len(jobs))]
+    # A helper woken by submit needs the GIL, which a running caller
+    # hands over within one switch interval; a job still pending after
+    # that is queued behind other callers' shards and is taken back.
+    grace_until = t0 + sys.getswitchinterval()
+    results: list = [None] * len(jobs)
+    stolen = 0
+    try:
+        results[0] = run_one(0)
+        for index, future in enumerate(futures, 1):
+            grace = grace_until - time.perf_counter()
+            if grace > 0:
+                wait([future], timeout=grace)
+            if future.cancel():
+                stolen += 1
+                results[index] = run_one(index)
+            else:
+                results[index] = future.result()
+    except BaseException:
         cancelled = sum(1 for f in futures if not f.done() and f.cancel())
         if reg.enabled and cancelled:
             reg.counter("parallel.cancelled_shards").add(cancelled)
-        failed.result()  # re-raises the worker exception, original traceback
-    results = [f.result() for f in futures]
+        raise
     if not reg.enabled:
         return results
     wall = time.perf_counter() - t0
     busy = sum(durations)
     reg.counter("parallel.tasks").add(len(jobs))
+    reg.counter("parallel.stolen_shards").add(stolen)
     reg.counter("parallel.busy_seconds", unit="s").add(busy)
     if wall > 0.0:
         reg.gauge("parallel.utilization", unit="ratio").set(
@@ -178,12 +275,12 @@ def submit(
     num_workers: int | None = 0,
     **kwargs,
 ) -> "Future[_R]":
-    """Run ``fn(*args, **kwargs)`` on the shared pool; returns a future.
+    """Run ``fn(*args, **kwargs)`` on the dispatch pool; returns a future.
 
     Fire-and-collect counterpart to :func:`parallel_map` for callers that
     overlap heterogeneous work instead of sharding one array — the
     serving dispatcher uses it to keep batches for *different* models in
-    flight concurrently. ``num_workers`` follows the usual convention
+    flight concurrently. ``num_workers`` follows :func:`resolve_workers`
     (``0`` = one thread per CPU); a resolved count of 1 still goes
     through a single-thread pool so the returned future is uniform.
     """

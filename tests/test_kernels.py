@@ -482,8 +482,11 @@ class TestSparseDenseIdentity:
 # Lane packing: two <=32-bit streams per uint64 word
 # ---------------------------------------------------------------------------
 
+from unittest import mock  # noqa: E402
+
 from repro.sc.kernels import stream_lanes  # noqa: E402
 from repro.scnn.sim import _reduce_products  # noqa: E402
+from repro.utils import parallel  # noqa: E402
 
 
 def _reference_engine_counts(table, act_rows, cols, wp, wn, mode):
@@ -509,7 +512,7 @@ class TestLanePacking:
         kernel=st.sampled_from(((1, 1, 1), (2, 1, 3), (2, 2, 2), (3, 3, 1))),
         cout=st.integers(1, 3),
         zero_share=st.sampled_from((0.0, 0.5, 0.9)),
-        workers=st.sampled_from((1, 2)),
+        share=st.sampled_from((1, 2, 3)),
         path=st.sampled_from(("dense", "sparse", "auto")),
         layout=st.sampled_from(("auto", "k_inner", "s_outer")),
         spatial_chunk=st.sampled_from((0, 1, 3)),
@@ -517,9 +520,12 @@ class TestLanePacking:
     )
     @settings(max_examples=150, deadline=None)
     def test_fused_matches_reference_engine(
-        self, mode, length, n, p, kernel, cout, zero_share, workers, path,
+        self, mode, length, n, p, kernel, cout, zero_share, share, path,
         layout, spatial_chunk, seed,
     ):
+        """Every mode, layout, lane count and path at kernel shares of 1,
+        2 and 3 (forced through the CPU count, so coverage does not
+        depend on the host) equals the reference engine."""
         cin, kh, kw = kernel
         k = cin * kh * kw
         bits = 4
@@ -534,18 +540,24 @@ class TestLanePacking:
         wp = table[w_rows, wq]
         wn = table[w_rows, rng.integers(0, 1 << bits, size=wq.shape)]
         stats = {}
-        got = fused_conv_counts(
-            table, act_rows, cols, wp, wn, mode,
-            num_workers=workers,
-            plan=ExecPlan(path=path, layout=layout, spatial_chunk=spatial_chunk),
-            length=length,
-            stats=stats,
-        )
+        with mock.patch.object(parallel, "cpu_count", return_value=share):
+            got = fused_conv_counts(
+                table, act_rows, cols, wp, wn, mode,
+                num_workers=0,
+                plan=ExecPlan(
+                    path=path, layout=layout, spatial_chunk=spatial_chunk
+                ),
+                length=length,
+                stats=stats,
+            )
         want = _reference_engine_counts(table, act_rows, cols, wp, wn, mode)
         np.testing.assert_array_equal(got, want)
         two_lanes = length <= 32 and mode != "fxp"
         assert stats["lanes"] == (2 if two_lanes else 1)
         assert stats["path"] in ("dense", "sparse")
+        # Sparse calls run on the calling thread; dense ones use the share
+        # unless the work grid has fewer cells than the share.
+        assert 1 <= stats["shards"] <= (1 if stats["path"] == "sparse" else share)
         if stats["path"] == "dense":
             assert stats["nnz_words"] == stats["skipped_words"] == 0
 

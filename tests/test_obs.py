@@ -2,6 +2,7 @@
 
 import json
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -60,17 +61,24 @@ class TestSpans:
 
     def test_sibling_threads_have_independent_stacks(self):
         def worker(_):
-            with obs.span("shard"):
+            time.sleep(0.01)  # leave the helper time to take a shard
+            with obs.span("shard", thread=threading.current_thread().name):
                 return threading.current_thread().name
 
-        with obs.span("driver"):
-            parallel_map(worker, list(range(4)), 2)
+        caller = threading.current_thread().name
+        with obs.span("caller"):
+            names = parallel_map(worker, list(range(4)), 2)
+        assert set(names) - {caller}  # a helper ran some shards
         shard_spans = [
             s for s in obs.get_registry().spans if s.name == "shard"
         ]
         assert len(shard_spans) == 4
-        # Worker threads root their own stacks: no cross-thread nesting.
-        assert all(s.depth == 0 for s in shard_spans)
+        # Helper threads root their own stacks: no cross-thread nesting.
+        # Shards the calling thread runs itself nest under its span.
+        for s in shard_spans:
+            on_caller = s.attrs["thread"] == caller
+            assert s.depth == (1 if on_caller else 0)
+            assert s.path == ("caller/shard" if on_caller else "shard")
 
     def test_summary_tree_renders(self):
         with obs.span("phase"):

@@ -1,19 +1,35 @@
-"""Tests for the shared worker pool (:mod:`repro.utils.parallel`)."""
+"""Tests for the shard and dispatch pools (:mod:`repro.utils.parallel`)."""
 
+import sys
 import threading
+from concurrent.futures import wait
+from unittest import mock
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.utils import parallel
 from repro.utils.parallel import (
     cpu_count,
     get_pool,
     iter_shards,
+    kernel_share,
     parallel_map,
+    resolve_shards,
     resolve_workers,
+    set_busy_siblings,
     shard_slices,
     shutdown_pool,
+    submit,
 )
+
+
+@pytest.fixture
+def siblings():
+    """Restore the process's busy-sibling count after a test."""
+    yield set_busy_siblings
+    set_busy_siblings(1)
 
 
 class TestResolveWorkers:
@@ -30,6 +46,46 @@ class TestResolveWorkers:
     def test_negative_rejected(self):
         with pytest.raises(ConfigurationError):
             resolve_workers(-1)
+
+
+class TestKernelShare:
+    def test_zero_shards_is_the_kernel_share(self):
+        assert resolve_shards(0) == kernel_share()
+        assert resolve_shards(1) == 1
+        assert resolve_shards(3) == 3
+
+    def test_share_divides_cpus_among_busy_siblings(self, siblings):
+        with mock.patch.object(parallel, "cpu_count", return_value=4):
+            assert kernel_share() == 4
+            siblings(2)
+            assert kernel_share() == 2
+            assert resolve_shards(0) == 2
+            siblings(8)
+            assert kernel_share() == 1  # never below one shard
+            # Dispatch parallelism ignores the share.
+            assert resolve_workers(0) == 4
+
+    def test_running_kernel_calls_split_the_share(self):
+        """Kernel calls that run at once (two serving threads) split the
+        share; an explicit count stays literal."""
+        with mock.patch.object(parallel, "cpu_count", return_value=4):
+            with parallel.kernel_call(0) as first:
+                assert first == 4
+                with parallel.kernel_call(0) as second:
+                    assert second == 2
+                    with parallel.kernel_call(3) as literal:
+                        assert literal == 3
+                assert kernel_share() == 4  # the others finished
+            assert kernel_share() == 4
+
+    def test_invalid_sibling_count_rejected(self):
+        with pytest.raises(ConfigurationError):
+            set_busy_siblings(0)
+
+    def test_config_defaults_to_the_share(self):
+        from repro.scnn.config import SCConfig
+
+        assert SCConfig().num_workers == 0
 
 
 class TestShardSlices:
@@ -113,6 +169,33 @@ class TestParallelMap:
         assert len(started) < 32
         shutdown_pool()
 
+    def test_caller_runs_a_shard(self):
+        names = parallel_map(
+            lambda _: threading.current_thread().name, [0, 1], 2
+        )
+        assert names[0] == threading.current_thread().name
+
+    def test_caller_takes_back_shards_of_busy_helpers(self):
+        """With every helper blocked, the calling thread runs all shards
+        itself instead of waiting."""
+        release = threading.Event()
+        blocker = threading.Event()
+
+        def hold(_):
+            blocker.set()
+            release.wait(timeout=10)
+
+        try:
+            held = parallel._shard_pool(1).submit(hold, None)
+            assert blocker.wait(timeout=5)
+            names = parallel_map(
+                lambda _: threading.current_thread().name, list(range(4)), 2
+            )
+        finally:
+            release.set()
+        held.result(timeout=5)
+        assert set(names) == {threading.current_thread().name}
+
     def test_exception_is_original_object_with_worker_traceback(self):
         sentinel = KeyError("original")
 
@@ -127,7 +210,104 @@ class TestParallelMap:
         assert "boom" in [frame.name for frame in excinfo.traceback]
 
 
+class TestDeadlockFreedom:
+    def test_sharded_calls_from_dispatch_threads_finish(self):
+        """Two dispatch tasks fill a 2-thread dispatch pool and each
+        shards a call two ways: helpers must never be the only way
+        forward (the calls used to share one pool and wait forever)."""
+        shutdown_pool()
+
+        def task(k):
+            return parallel_map(lambda v: (k, v), [0, 1], 2)
+
+        futures = [submit(task, k, num_workers=2) for k in range(2)]
+        done, _ = wait(futures, timeout=10)
+        assert len(done) == 2
+        assert [f.result() for f in futures] == [
+            [(0, 0), (0, 1)], [(1, 0), (1, 1)]
+        ]
+        shutdown_pool()
+
+    def test_concurrent_callers_run_every_job_once(self):
+        """More callers than cores share one shard pool under a short
+        switch interval, so helpers and callers race for queued jobs:
+        every job runs exactly once and every call gets its own results
+        (a job both taken back and run by a helper, or lost between
+        them, would break the counts)."""
+        callers, jobs, rounds = 6, 32, 10
+        runs = [0] * (callers * jobs)
+        lock = threading.Lock()
+        wrong = []
+
+        def job(index):
+            with lock:
+                runs[index] += 1
+            return index
+
+        def caller(k):
+            mine = list(range(k * jobs, (k + 1) * jobs))
+            for _ in range(rounds):
+                if parallel_map(job, mine, 3) != mine:
+                    wrong.append(k)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=caller, args=(k,))
+                for k in range(callers)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(previous)
+        assert wrong == []
+        assert runs == [rounds] * len(runs)
+
+    def test_kernel_call_keeps_the_dispatch_pool(self):
+        """A sharded kernel call never resizes or shuts down the pool a
+        dispatcher runs on."""
+        from repro.sc.kernels import fused_conv_counts
+
+        rng = np.random.default_rng(3)
+        words = (2, 3, 3, 3, 1)  # (Cout, Cin, KH, KW, words)
+        operands = (
+            rng.integers(0, 2**32, size=(4, 32, 1), dtype=np.uint64),
+            rng.integers(0, 4, size=(3, 3, 3)),
+            rng.integers(0, 32, size=(2, 3, 3, 3, 12)),
+            rng.integers(0, 2**32, size=words, dtype=np.uint64),
+            rng.integers(0, 2**32, size=words, dtype=np.uint64),
+        )
+        shutdown_pool()
+        dispatch = get_pool(3)
+        serial = fused_conv_counts(*operands, "pbw", num_workers=1)
+        for workers in (2, 4, 0):
+            sharded = submit(
+                lambda w=workers: fused_conv_counts(
+                    *operands, "pbw", num_workers=w
+                ),
+                num_workers=3,
+            ).result(timeout=30)
+            np.testing.assert_array_equal(sharded, serial)
+            parallel_map(lambda v: v, [0, 1, 2], workers)
+        assert get_pool(3) is dispatch
+        assert not dispatch._shutdown
+        shutdown_pool()
+
+
 class TestPool:
+    def test_shard_pools_are_fixed_size_and_kept(self):
+        shutdown_pool()
+        parallel_map(lambda v: v, list(range(6)), 3)
+        pool = parallel._shard_pool(2)
+        assert pool._max_workers == 2
+        parallel_map(lambda v: v, list(range(6)), 2)
+        assert parallel._shard_pool(2) is pool  # other sizes add pools
+        shutdown_pool()
+
     def test_pool_reused_and_rebuilt(self):
         shutdown_pool()
         small = get_pool(2)

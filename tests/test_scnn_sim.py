@@ -381,8 +381,8 @@ class TestKernelStatsAttribution:
     so concurrent forwards of different layers never see each other's
     words (process-global counter deltas would)."""
 
-    _STAT_KEYS = ("kernel_path", "kernel_layout", "lanes", "nnz_words",
-                  "skipped_words")
+    _STAT_KEYS = ("kernel_path", "kernel_layout", "lanes", "shards",
+                  "nnz_words", "skipped_words")
 
     def _layers(self):
         rng = np.random.default_rng(5)
@@ -436,7 +436,8 @@ class TestKernelStatsAttribution:
             assert all(
                 len(stats) == 1 for stats in serial["profile"].values()
             )
-            nnz = [next(iter(serial["profile"][i]))[3] for i in (0, 1)]
+            at = self._STAT_KEYS.index("nnz_words")
+            nnz = [next(iter(serial["profile"][i]))[at] for i in (0, 1)]
             assert all(nnz) and nnz[0] != nnz[1]  # distinct sparse layers
 
             obs.reset()
@@ -457,3 +458,33 @@ class TestKernelStatsAttribution:
                 assert not thread.is_alive()
             for kind in ("profile", "span"):
                 assert self._stats(kind) == serial[kind]
+
+    def test_profile_reports_resolved_shards(self):
+        """The profile and span carry the shard count each call ran as,
+        not the ``num_workers`` knob (which reads 0 under auto)."""
+        from unittest import mock
+
+        from repro import obs
+        from repro.utils import parallel
+
+        rng = np.random.default_rng(9)
+        x = rng.uniform(0.2, 1, size=(2, 3, 8, 8)).astype(np.float32)
+        w = rng.uniform(-0.4, 0.4, size=(4, 3, 3, 3)).astype(np.float32)
+        cfg = SCConfig(stream_length=32, stream_length_pooling=32)
+        with obs.enabled_scope(True), mock.patch.object(
+            parallel, "cpu_count", return_value=2
+        ):
+            for workers, engine, want in (
+                (0, "fused", 2), (1, "fused", 1), (0, "reference", None)
+            ):
+                obs.reset()
+                sim = SCConvSimulator(
+                    (4, 3, 3, 3), cfg.with_(num_workers=workers, engine=engine)
+                )
+                sim(x, w)
+                reg = obs.get_registry()
+                (profile,) = reg.profiles
+                assert "workers" not in profile
+                assert profile["shards"] == want
+                (span,) = [s for s in reg.spans if s.name == "scnn.conv_forward"]
+                assert span.attrs.get("shards") == want

@@ -767,3 +767,44 @@ class TestGracefulDrain:
             assert service._dispatcher is None  # service fully stopped
         finally:
             signal.signal(signal.SIGTERM, previous)
+
+
+class TestShardedServing:
+    def test_concurrent_sharded_batches_match_in_process(self):
+        """Two models whose kernels shard two ways serve two batches at
+        once from the dispatch pool; every answer equals the in-process
+        forward bit for bit (kernel shards take helpers from their own
+        pool and the dispatch threads run shards themselves)."""
+        from repro.nn.tensor import Tensor, no_grad
+
+        registry = ModelRegistry()
+        models = {}
+        for seed, name in enumerate(("a", "b")):
+            cfg = SCConfig(stream_length=32, stream_length_pooling=32)
+            rng = np.random.default_rng(seed)
+            models[name] = nn.Sequential(
+                SCConv2d(1, 4, 3, cfg.with_(num_workers=2), rng=rng),
+                nn.Flatten(),
+                nn.Linear(4 * 6 * 6, 3, rng=rng),
+            )
+            registry.register(name, models[name], input_shape=(1, 8, 8), warm=False)
+        policy = ServePolicy(
+            max_batch=4, max_wait_s=0.05, num_tiers=1, dispatch_workers=2,
+            default_deadline_s=None, slo=None,
+        )
+        xs = np.random.default_rng(7).uniform(0, 1, (4, 1, 8, 8))
+        xs = xs.astype(np.float32)
+        with serve.InferenceService(registry, policy) as service:
+            pending = {
+                name: [service.submit(name, x)[0] for x in xs] for name in models
+            }
+            served = {
+                name: np.stack([r.future.result(timeout=60).outputs for r in reqs])
+                for name, reqs in pending.items()
+            }
+            stats = service.stats()
+        assert stats["batches"]["dispatched"] == 2
+        for name, model in models.items():
+            with no_grad():
+                direct = model(Tensor(xs.copy())).data
+            np.testing.assert_array_equal(served[name], direct)

@@ -170,6 +170,30 @@ class TestGraphMechanics:
             out = a * 2.0
         assert not out.requires_grad
 
+    def test_no_grad_is_per_thread(self):
+        """Overlapping ``no_grad`` blocks in two threads (two serving
+        batches at once) neither disable autograd elsewhere nor leave it
+        disabled after both exit."""
+        import threading
+
+        entered, release = threading.Event(), threading.Event()
+
+        def serve_batch():
+            with no_grad():
+                entered.set()
+                release.wait(timeout=10)
+
+        thread = threading.Thread(target=serve_batch)
+        thread.start()
+        assert entered.wait(timeout=10)
+        a = Tensor([1.0], requires_grad=True)
+        assert (a * 2.0).requires_grad  # the other thread's block
+        with no_grad():
+            release.set()
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert (a * 2.0).requires_grad  # exits in either order restore
+
     def test_backward_nonscalar_needs_grad(self):
         a = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(GradientError):

@@ -88,6 +88,12 @@ class TestPlanKey:
         two = tuner.plan_key("pbw", 2, 3, 3, 3, 4, 10, 1, lanes=2)
         assert one != two
 
+    def test_shards_distinct_keys(self):
+        serial = tuner.plan_key("pbw", 2, 3, 3, 3, 4, 10, 1)
+        sharded = tuner.plan_key("pbw", 2, 3, 3, 3, 4, 10, 1, shards=2)
+        assert serial != sharded
+        assert tuner.CACHE_VERSION == 3  # keys changed shape
+
     def test_density_buckets_quantize(self):
         low = tuner.plan_key("sc", 1, 1, 1, 1, 1, 1, 1, zero_frac=0.05)
         low2 = tuner.plan_key("sc", 1, 1, 1, 1, 1, 1, 1, zero_frac=0.2)
@@ -228,6 +234,15 @@ class TestPlanFor:
         cache = tuner.get_plan_cache()
         tuner.plan_for(*make_operands(length=32), "pbw", length=32)
         tuner.plan_for(*make_operands(length=64), "pbw", length=64)
+        assert cache.tunes == 2
+        assert len(cache) == 2
+
+    def test_shard_counts_tune_separately(self):
+        cache = tuner.get_plan_cache()
+        operands = make_operands()
+        tuner.plan_for(*operands, "pbw", workers=1)
+        tuner.plan_for(*operands, "pbw", workers=2)
+        tuner.plan_for(*operands, "pbw", workers=2)
         assert cache.tunes == 2
         assert len(cache) == 2
 
