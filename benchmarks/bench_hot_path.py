@@ -17,12 +17,6 @@ every accumulation mode under four arms:
 Both fused arms run :func:`repro.sc.kernels.heuristic_plan`'s plan for
 each layer shape.
 
-A kernel-level **density sweep** then times the dense slab sweep vs the
-``path="auto"`` plan on one representative conv shape at 0%/50%/90%
-activation-value sparsity per accumulation mode — the sparse path's
-skip-mask win is only visible on sparse operands, and the CNN-4 forward
-above does not let us pin activation density.
-
 Each arm is warmed first (stream tables are built and cached on the
 warm-up call) and the best of ``reps`` runs is kept — the interesting
 quantity is the achievable per-forward cost, not scheduler noise.
@@ -53,10 +47,8 @@ import numpy as np
 
 from repro import obs
 from repro.models.cnn4 import cnn4_sc
-from repro.sc.kernels import ExecPlan, fused_conv_counts
 from repro.scnn.config import SCConfig
-from repro.scnn.sim import clear_table_cache, stream_table, table_cache_stats
-from repro.sc.rng import LFSRSource
+from repro.scnn.sim import clear_table_cache, table_cache_stats
 from repro.utils import bitops
 from repro.utils.parallel import cpu_count
 
@@ -65,13 +57,6 @@ OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_hot_path.json"
 
 #: CNN-4 forward the arms are timed on.
 BATCH, IN_CHANNELS, INPUT_SIZE, STREAM_LENGTH = 8, 1, 16, 64
-
-#: Activation-value zero fractions of the kernel-level density sweep.
-DENSITIES = (0.0, 0.5, 0.9)
-
-#: Density-sweep operand shape: a mid-size conv layer (past the sparse
-#: path's measured crossover) with 64-bit streams.
-SWEEP_SHAPE = dict(n=4, cin=16, cout=32, k=5, p=196, bits=6)
 
 
 def _forward_time(engine: str, mode: str, native: bool, workers: int,
@@ -108,68 +93,6 @@ def _forward_time(engine: str, mode: str, native: bool, workers: int,
         return best
     finally:
         bitops.USE_NATIVE_POPCOUNT = saved
-
-
-def _sweep_operands(mode: str, density: float):
-    """Synthetic fused-call operands at a pinned activation density."""
-    n, cin, cout, k, p, bits = (
-        SWEEP_SHAPE[key] for key in ("n", "cin", "cout", "k", "p", "bits")
-    )
-    rng = np.random.default_rng(int(density * 100) + 17)
-    source = LFSRSource(bits)
-    seeds = np.arange(1, 1 + cin * k * k + cout)
-    table, unique = stream_table(source, bits, STREAM_LENGTH, seeds, False)
-    act_rows = np.searchsorted(unique, seeds[: cin * k * k].reshape(cin, k, k))
-    cols = rng.integers(1, 1 << bits, size=(n, cin, k, k, p))
-    cols[rng.random(cols.shape) < density] = 0
-    wq = rng.integers(0, 1 << bits, size=(cout, cin, k, k))
-    wrow = np.searchsorted(unique, seeds[cin * k * k:])
-    wp = table[wrow[:, None, None, None] % table.shape[0], wq]
-    wn = table[
-        wrow[:, None, None, None] % table.shape[0], (wq + 3) % (1 << bits)
-    ]
-    return table, act_rows, cols, wp, wn
-
-
-def run_density_sweep(reps: int = 3) -> dict:
-    """Time dense-forced vs auto plans across modes and densities.
-
-    Bit-identity of the two paths is asserted on every cell; the
-    ``auto_vs_dense`` speedup shows where the sparse path engages (its
-    group-level threshold keeps long-group modes dense — a speedup of
-    ~1.0 there is the *correct* outcome, not a missing win).
-    """
-    sweep: dict[str, dict] = {}
-    for mode in MODES:
-        sweep[mode] = {}
-        for density in DENSITIES:
-            operands = _sweep_operands(mode, density)
-            # Serial: the sweep compares paths, and sparse calls never
-            # shard, so a sharded dense arm would measure threads instead.
-            dense = fused_conv_counts(
-                *operands, mode, num_workers=1, plan=ExecPlan(path="dense")
-            )
-            auto = fused_conv_counts(*operands, mode, num_workers=1)
-            if not np.array_equal(dense, auto):
-                raise AssertionError(
-                    f"sparse/dense mismatch: mode={mode} density={density}"
-                )
-            cell = {}
-            for label, plan in (
-                ("dense_s", ExecPlan(path="dense")),
-                ("auto_s", None),
-            ):
-                best = math.inf
-                for _ in range(reps):
-                    t0 = time.perf_counter()
-                    fused_conv_counts(
-                        *operands, mode, num_workers=1, plan=plan
-                    )
-                    best = min(best, time.perf_counter() - t0)
-                cell[label] = best
-            cell["auto_vs_dense"] = cell["dense_s"] / cell["auto_s"]
-            sweep[mode][f"{density:.2f}"] = cell
-    return sweep
 
 
 def run_hot_path(reps: int = 5) -> dict:
@@ -238,10 +161,6 @@ def run_hot_path(reps: int = 5) -> dict:
             "fused_vs_reference": geomean("fused_vs_reference"),
             "fused_mt_vs_fused": geomean("fused_mt_vs_fused"),
         },
-        "density_sweep": {
-            "shape": dict(SWEEP_SHAPE, stream_length=STREAM_LENGTH),
-            "results": run_density_sweep(),
-        },
         "table_cache": table_cache_stats(),
         "telemetry": {
             "enabled": obs.enabled(),
@@ -250,10 +169,7 @@ def run_hot_path(reps: int = 5) -> dict:
         "notes": (
             "'seed' is the pre-fused hot path (reference engine + byte-LUT "
             "popcount). Worker scaling (fused_mt) requires >1 CPU; on a "
-            "single-CPU machine it measures sharding overhead instead. "
-            "The density sweep runs serially. "
-            "density_sweep times the dense slab sweep vs the auto "
-            "path on synthetic operands at pinned activation sparsity."
+            "single-CPU machine it measures sharding overhead instead."
         ),
     }
 
@@ -278,14 +194,6 @@ def render(report: dict) -> str:
         f"fused_mt vs fused: {g['fused_mt_vs_fused']:.2f}x "
         f"({report['machine']['cpus']} CPU(s))"
     )
-    rows.append("density sweep (auto vs forced-dense speedup):")
-    for mode in MODES:
-        cells = report["density_sweep"]["results"][mode]
-        line = "  ".join(
-            f"zf={density}: {cell['auto_vs_dense']:5.2f}x"
-            for density, cell in cells.items()
-        )
-        rows.append(f"  {mode:6s} {line}")
     cache = report["table_cache"]
     rows.append(
         f"table cache: {cache['hits']} hits / {cache['misses']} misses "
@@ -312,13 +220,6 @@ def test_hot_path(once):
         assert report["speedups"][mode]["fused_vs_seed"] > 3.0
     cache = report["table_cache"]
     assert cache["hits"] > 0  # warmed tables were reused across arms
-    # The sparse path must pull its weight where it engages: at 90%
-    # activation sparsity at least one mode runs >= 1.5x the dense sweep.
-    at_90 = [
-        cells["0.90"]["auto_vs_dense"]
-        for cells in report["density_sweep"]["results"].values()
-    ]
-    assert max(at_90) >= 1.5
 
 
 if __name__ == "__main__":

@@ -36,7 +36,7 @@ carry bits (arbitrary ``wp``/``wn`` callers) expand into explicit
 ``(+1, wp)``/``(-1, wn)`` entries of the same signed pass, so FXP never
 falls back to the stacked ``2*Cout`` sweep.
 
-Two dense slab *layouts* cover complementary regimes (DESIGN §3.6):
+Two slab *layouts* cover complementary regimes (DESIGN §3.6):
 
 * ``k_inner`` (default): the group permutation is baked into the gather
   as above, and AND/OR stream over the contiguous ``G*S*words`` inner
@@ -52,22 +52,14 @@ Two dense slab *layouts* cover complementary regimes (DESIGN §3.6):
   mode's OR-group permutation is the identity on natural member-major
   order (SC/PBW/PBHW/FXP yes, APC no — checked, with silent fallback).
 
-Two further levers sit on top of the dense slab sweep:
-
-* **Sparsity** (:func:`_sparse_grouped_counts`): post-ReLU activation
-  streams are mostly all-zero packed words, and an all-zero activation
-  word contributes nothing to AND→OR→popcount. The sparse path builds a
-  per-OR-group zero-word mask over the gathered activation chunk,
-  compacts the non-zero ``(sample, position, group, word, slot)``
-  activation words into a flat list, and runs AND→OR→popcount only on
-  those — bit-identical to the dense sweep because popcounts are exact
-  integers and OR/addition are order-free. Realized sparsity is
-  exported through :mod:`repro.obs` (``sc.kernels.nnz_words`` /
-  ``sc.kernels.skipped_words``).
-* **Per-shape plans** (:class:`ExecPlan`): slab budget, channel-block
-  width, spatial chunk, layout, and the dense/sparse path choice are
-  bundled in a plan. A call takes an explicit ``plan=`` or gets
-  :func:`heuristic_plan`'s rule for its layer shape.
+Slab budget, channel-block width, spatial chunk and layout are bundled
+in a per-shape plan (:class:`ExecPlan`). A call takes an explicit
+``plan=`` or gets :func:`heuristic_plan`'s rule for its layer shape.
+The slab sweep runs every operand word whatever its value, as GEO's MAC
+rows stream every bit; the one exception is a call whose activation
+values are all zero (serving warm-up feeds such samples). Value 0
+encodes the all-zero stream, which ANDs, ORs and popcounts to zero, so
+that call returns zero counts without running a kernel.
 
 **Lane packing** (DESIGN §3.1): a stream of length ``<= 32`` fills only
 the low half of its ``uint64`` word, so with the stream length passed in
@@ -86,14 +78,13 @@ signed-magnitude pass is popcount-epilogue-bound (one group per product)
 and measured no faster with two lanes.
 
 Sharding (``num_workers``, by default the process's kernel share) splits
-the spatial axis (or the channel axis for pointwise/FC shapes) of a dense
+the spatial axis (or the channel axis for pointwise/FC shapes) of a
 call across the calling thread and the shard helpers of
 :mod:`repro.utils.parallel`; numpy releases the GIL inside the kernels,
-so threads scale without copying the stream tables. Every dense shard
-works in buffers the calling thread allocates once per call
-(:class:`_Scratch`), and the ``s_outer`` slab budget is per call, so a
-sharded call peaks at the memory of a serial one. Sparse calls run on the
-calling thread: their compaction buffers depend on the data.
+so threads scale without copying the stream tables. Every shard works in
+buffers the calling thread allocates once per call (:class:`_Scratch`),
+and the ``s_outer`` slab budget is per call, so a sharded call peaks at
+the memory of a serial one.
 """
 
 from __future__ import annotations
@@ -131,28 +122,17 @@ _MIN_SPATIAL_CHUNK = 8
 #: dwarf the actual word operations (measured crossover ≈ 8 members).
 _SMALL_GROUP_OR = 8
 
-#: ``path="auto"`` switches to the sparse kernel when at least this
-#: fraction of the OR *group-positions* in the call are dead — every
-#: member's quantized value is zero (zero value → all-zero packed
-#: stream), so the whole group contributes nothing. Group-level (not
-#: value-level) fraction: long-group modes like SC/PBW almost never
-#: have fully dead groups and correctly stay on the dense sweep, whose
-#: perfectly regular inner loops win over compaction overhead.
-SPARSE_AUTO_THRESHOLD = 0.6
-
-#: Slab budget floor for the ``s_outer`` layout: its slab spans the whole
-#: kernel-position extent per spatial column, so the sweet spot (measured
-#: on the CNN-4 PBHW shapes) sits in L3, not L2 — a tighter budget would
-#: shrink the spatial chunk below the long contiguous runs the layout
-#: exists to create.
+#: Slab budget of :func:`heuristic_plan`'s ``s_outer`` plans: that slab
+#: spans the whole kernel-position extent per spatial column, so the
+#: sweet spot (measured on the CNN-4 PBHW shapes) sits in L3, not L2 — a
+#: tighter budget would shrink the spatial chunk below the long
+#: contiguous runs the layout exists to create.
 _SOUTER_SLAB_BYTES = 1 << 24
 
 #: Bits per lane when two short streams share one ``uint64`` word.
 LANE_BITS = 32
 
 _LANE0_MASK = np.uint64((1 << LANE_BITS) - 1)
-
-_PLAN_PATHS = ("auto", "dense", "sparse")
 
 _PLAN_LAYOUTS = ("auto", "k_inner", "s_outer")
 
@@ -169,31 +149,27 @@ class ExecPlan:
     Attributes
     ----------
     slab_bytes:
-        Product-slab byte budget (cache-residency knob).
+        Product-slab byte budget (cache-residency knob), split evenly
+        among a call's shards in the ``s_outer`` layout.
     channel_block:
         Preferred stacked-channel block width ``Mb``; wider blocks
         amortize re-reads of the gathered activation chunk.
     spatial_chunk:
         Explicit spatial chunk width ``Pc``; ``0`` derives it from the
         slab budget (the historical behaviour).
-    path:
-        ``"dense"`` forces the slab sweep, ``"sparse"`` the zero-word
-        skipping kernel, ``"auto"`` picks by measured activation-value
-        density (:data:`SPARSE_AUTO_THRESHOLD`).
     layout:
-        Dense slab layout: ``"k_inner"`` (permuted gather, kernel
-        positions contiguous) or ``"s_outer"`` (natural order, spatial
-        axis innermost, OR over the outer member axis). ``"auto"``
-        picks ``s_outer`` for PBHW and ``k_inner`` otherwise; an
-        explicit ``s_outer`` silently falls back to ``k_inner`` for
-        modes whose group permutation is not natural-order (APC) and
-        on the sparse path.
+        Slab layout: ``"k_inner"`` (permuted gather, kernel positions
+        contiguous) or ``"s_outer"`` (natural order, spatial axis
+        innermost, OR over the outer member axis). ``"auto"`` picks
+        ``s_outer`` for PBHW and ``k_inner`` otherwise; an explicit
+        ``s_outer`` silently falls back to ``k_inner`` for modes whose
+        group permutation is not natural-order (APC, and FXP's signed
+        pass).
     """
 
     slab_bytes: int = DEFAULT_SLAB_BYTES
     channel_block: int = _TARGET_CHANNEL_BLOCK
     spatial_chunk: int = 0
-    path: str = "auto"
     layout: str = "auto"
 
     def __post_init__(self):
@@ -209,11 +185,6 @@ class ExecPlan:
             raise ConfigurationError(
                 f"spatial_chunk must be >= 0 (0 = derive), got "
                 f"{self.spatial_chunk}"
-            )
-        if self.path not in _PLAN_PATHS:
-            raise ConfigurationError(
-                f"unknown plan path {self.path!r} (expected one of "
-                f"{_PLAN_PATHS})"
             )
         if self.layout not in _PLAN_LAYOUTS:
             raise ConfigurationError(
@@ -231,7 +202,6 @@ def heuristic_plan(
     cout: int,
     p: int,
     words: int,
-    slab_bytes: int = DEFAULT_SLAB_BYTES,
 ) -> ExecPlan:
     """The plan of every fused call that passes no explicit ``plan``.
 
@@ -260,9 +230,10 @@ def heuristic_plan(
     if mode is AccumulationMode.PBHW:
         # PBHW's many-short-groups structure loses the k_inner layout's
         # contiguity advantage; the s_outer layout restores the
-        # reference loop's fast AND/OR patterns. Narrow channel blocks
-        # measure fastest: the slab spans the whole kernel extent, so
-        # wide blocks blow the cache (see DESIGN §3.6).
+        # reference loop's fast AND/OR patterns. The slab spans the
+        # whole kernel extent, so it gets an L3-sized budget, and narrow
+        # channel blocks measure fastest: wide ones blow the cache (see
+        # DESIGN §3.6).
         if members == 1:
             block = 2
         elif p >= 32:
@@ -270,16 +241,17 @@ def heuristic_plan(
         else:
             block = 1
         return ExecPlan(
-            slab_bytes=slab_bytes, channel_block=block, layout="s_outer"
+            slab_bytes=_SOUTER_SLAB_BYTES, channel_block=block,
+            layout="s_outer",
         )
     if members <= _SMALL_GROUP_OR:
         # Short-group modes: group-count epilogue dominates; trade
         # cache tightness for fewer, wider blocks.
         return ExecPlan(
-            slab_bytes=max(slab_bytes, 4 * DEFAULT_SLAB_BYTES),
+            slab_bytes=4 * DEFAULT_SLAB_BYTES,
             channel_block=max(_TARGET_CHANNEL_BLOCK, 2 * cout),
         )
-    return ExecPlan(slab_bytes=slab_bytes)
+    return ExecPlan()
 
 
 def group_structure(
@@ -375,17 +347,17 @@ def _souter_chunks(
     """Spatial / channel-block chunks for the ``s_outer`` layout.
 
     The slab spans the full kernel-position extent per spatial column
-    (``per_unit = n * k * words * 8`` bytes), so the budget floor is
-    :data:`_SOUTER_SLAB_BYTES`: the layout's whole point is long
-    contiguous spatial runs, and a tight budget would shorten them. The
-    budget is per call: a call sharded ``shards`` ways gives each shard
-    an equal part, so sharding never multiplies the slab memory (the
-    slabs live in the shared last-level cache anyway). The spatial chunk
-    has priority (it sets the AND's stride-0 run length); the channel
-    block shrinks first to fit.
+    (``per_unit = n * k * words * 8`` bytes). The budget is
+    ``plan.slab_bytes`` per call: a call sharded ``shards`` ways gives
+    each shard an equal part, so sharding never multiplies the slab
+    memory (the slabs live in the shared last-level cache anyway). The
+    spatial chunk has priority (it sets the AND's stride-0 run length);
+    the channel block shrinks first to fit. Invariants (property-tested):
+    ``1 <= pc <= p``, ``1 <= mb <= m``, and the slab stays within the
+    shard's budget unless ``mb == pc == 1``.
     """
     per_unit = max(1, n * k * words * 8)
-    budget = max(plan.slab_bytes, _SOUTER_SLAB_BYTES) // max(1, shards)
+    budget = plan.slab_bytes // max(1, shards)
     mb = min(m, max(1, plan.channel_block))
     pc = min(p, plan.spatial_chunk) if plan.spatial_chunk > 0 else p
     while mb > 1 and per_unit * mb * pc > budget:
@@ -409,19 +381,6 @@ def _natural_order(group_k: np.ndarray, k: int) -> bool:
     )
 
 
-def _natural_group_zero_frac(
-    cols_lanes: np.ndarray, s: int, g: int
-) -> float:
-    """Group-level dead fraction computed straight off the natural-order
-    columns ``(N, K, P', lanes)`` — the ``s_outer`` counterpart of
-    :func:`_group_zero_frac`, with no permutation copy."""
-    n, k, p, lanes = cols_lanes.shape
-    if not cols_lanes.size:
-        return 0.0
-    live = _live_values(cols_lanes.reshape(n, s, g, p, lanes)).any(axis=1)
-    return float(1.0 - live.mean())
-
-
 def stream_lanes(mode: AccumulationMode | str, length: int | None) -> int:
     """Streams packed per ``uint64`` word in one fused call: 2 when the
     stream fits in one lane (``length <= 32``) and the mode is not FXP,
@@ -429,14 +388,6 @@ def stream_lanes(mode: AccumulationMode | str, length: int | None) -> int:
     if length is None or length > LANE_BITS:
         return 1
     return 1 if AccumulationMode.parse(mode) is AccumulationMode.FXP else 2
-
-
-def _live_values(vals: np.ndarray) -> np.ndarray:
-    """``vals != 0`` folded over the trailing lane axis (1 or 2 lanes):
-    a packed position is live when any of its lanes is. One
-    ``logical_or`` pass; a reduction over the short lane axis is
-    several times slower."""
-    return np.logical_or(vals[..., 0], vals[..., -1])
 
 
 def _lane_columns(cols_flat: np.ndarray, lanes: int) -> np.ndarray:
@@ -457,37 +408,29 @@ def _gather(
     table: np.ndarray,
     rows: np.ndarray,
     vals: np.ndarray,
-    scratch: "_Scratch | None" = None,
+    scratch: "_Scratch",
 ) -> np.ndarray:
     """Packed activation words ``table[rows, vals]`` with lanes combined.
 
     ``vals`` carries a trailing lane axis. Each lane is gathered by a flat
     ``np.take`` on the one-word-per-value table at ``row * 2**bits +
-    value``; two lanes merge as ``lo | hi << 32``. With ``scratch`` the
-    indices and words land in its preallocated buffers (contiguous prefix
-    views of them), so a dense shard allocates nothing per chunk.
+    value``; two lanes merge as ``lo | hi << 32``. The indices and words
+    land in the shard's preallocated ``scratch`` buffers (contiguous
+    prefix views of them), so a shard allocates nothing per chunk.
     """
     words = table.shape[-1]
     flat = table.reshape(-1, words)
     base = rows * table.shape[1]  # broadcasts against ``vals``
     shape = vals.shape[:-1]
     cells = vals.size // vals.shape[-1]
-    if scratch is None:
-        index = np.empty(shape, dtype=np.int64)
-        act = np.empty(shape + (words,), dtype=np.uint64)
-    else:
-        index = scratch.index[:cells].reshape(shape)
-        act = scratch.act[: cells * words].reshape(shape + (words,))
+    index = scratch.index[:cells].reshape(shape)
+    act = scratch.act[: cells * words].reshape(shape + (words,))
     np.add(base, vals[..., 0], out=index)
     # Indices are in range by construction; "clip" writes straight into
     # ``out``, where the default "raise" would fill a temporary copy.
     np.take(flat, index, axis=0, out=act, mode="clip")
     if vals.shape[-1] == 2:  # one-word streams only
-        high = (
-            np.empty(shape, dtype=np.uint64)
-            if scratch is None
-            else scratch.high[:cells].reshape(shape)
-        )
+        high = scratch.high[:cells].reshape(shape)
         np.add(base, vals[..., 1], out=index)
         np.take(flat[:, 0], index, out=high, mode="clip")
         high <<= np.uint64(LANE_BITS)
@@ -495,14 +438,12 @@ def _gather(
     return act
 
 
-def _group_popcounts(
-    merged: np.ndarray, bits: np.ndarray | None = None
-) -> np.ndarray:
+def _group_popcounts(merged: np.ndarray, bits: np.ndarray) -> np.ndarray:
     """Popcount of ``(..., words)`` merged words, summed over words.
 
     One-word streams with native popcount return the ufunc's ``uint8``
-    counts as is (written into ``bits`` when given), skipping an int64
-    intermediate per group word; callers widen when they reduce."""
+    counts as is (written into ``bits``), skipping an int64 intermediate
+    per group word; callers widen when they reduce."""
     if merged.shape[-1] == 1 and bitops.USE_NATIVE_POPCOUNT and (
         bitops.HAS_NATIVE_POPCOUNT
     ):
@@ -512,15 +453,14 @@ def _group_popcounts(
 
 def _lane_counts(
     merged: np.ndarray,
-    bits: np.ndarray | None,
-    axis: int | tuple,
+    bits: np.ndarray,
+    axis: int,
     out: np.ndarray,
 ) -> None:
     """Per-lane popcounts of merged group words into ``out[..., lane]``,
-    summed over the words and the group ``axis`` (``()``: no group
-    axis). Lane 0 is ``popcount(x & 0xFFFFFFFF)``, lane 1 is
-    ``popcount(x) - lane0``; two lanes clobber ``merged`` (always a
-    scratch buffer)."""
+    summed over the words and the group ``axis``. Lane 0 is
+    ``popcount(x & 0xFFFFFFFF)``, lane 1 is ``popcount(x) - lane0``; two
+    lanes clobber ``merged`` (always a scratch buffer)."""
     np.add.reduce(
         _group_popcounts(merged, bits), axis=axis, dtype=np.int64,
         out=out[..., -1],
@@ -575,7 +515,7 @@ def _grouped_weights(
 
 
 class _Scratch:
-    """Buffers of one dense shard, allocated once per call on the
+    """Buffers of one shard, allocated once per call on the
     calling thread and reused by every chunk of the shard.
 
     A helper thread that allocates its own chunk temporaries leaves them,
@@ -625,15 +565,14 @@ def _grouped_counts(
     counts: np.ndarray,
     p_span: slice,
     m_span: slice,
-    plan: ExecPlan,
-    group_weights: np.ndarray | None = None,
-    scratch: _Scratch | None = None,
+    group_weights: np.ndarray | None,
+    scratch: _Scratch,
 ) -> None:
-    """Fill ``counts[:, m_span, p_span]`` for one shard (dense sweep).
+    """Fill ``counts[:, m_span, p_span]`` for one shard (``k_inner``).
 
-    ``counts`` is ``(N, M, P', lanes)`` over packed positions; every
-    shard kernel shares this signature. Dense kernels work entirely in
-    the caller-allocated ``scratch``; the slab is cache-sized, so
+    ``counts`` is ``(N, M, P', lanes)`` over packed positions; both
+    shard kernels share this signature. They work entirely in the
+    caller-allocated ``scratch``; the slab is cache-sized, so
     products are written, OR-merged, and popcounted without touching
     DRAM. When ``group_weights`` is given (signed-magnitude FXP path, one
     lane), group counts are combined as ``sum_g gw[m, g] * count_g``
@@ -700,9 +639,8 @@ def _souter_grouped_counts(
     counts: np.ndarray,
     p_span: slice,
     m_span: slice,
-    plan: ExecPlan,
-    group_weights: None = None,
-    scratch: _Scratch | None = None,
+    group_weights: None,
+    scratch: _Scratch,
 ) -> None:
     """Fill ``counts[:, m_span, p_span]`` with the ``s_outer`` layout.
 
@@ -753,148 +691,6 @@ def _souter_grouped_counts(
             )
 
 
-def _sparse_grouped_counts(
-    table: np.ndarray,
-    rows_g: np.ndarray,
-    cols_g: np.ndarray,
-    zero_slots: np.ndarray | None,
-    w_g: np.ndarray,
-    counts: np.ndarray,
-    p_span: slice,
-    m_span: slice,
-    plan: ExecPlan,
-    group_weights: np.ndarray | None = None,
-    scratch: None = None,
-) -> tuple[int, int]:
-    """Fill ``counts[:, m_span, p_span]`` skipping all-zero words.
-
-    Sparse counterpart of :func:`_grouped_counts`, bit-identical by
-    construction: an all-zero activation stream ANDs to zero against
-    any weight word, contributes the OR identity to its group merge,
-    and popcounts to zero — dropping it cannot change any count. The
-    skip granularity is the *group-position*: quantized value ``0``
-    encodes the all-zero stream, so the mask ``(G, N, P)`` of OR-groups
-    whose member values are all zero is known **before** any table
-    gather, and every packed word of a dead group is skipped in bulk.
-
-    Two execution strategies, chosen by group width:
-
-    * **Segment path** (``S <= _SMALL_GROUP_OR`` — FXP singletons, APC
-      pairs, PBHW with few input channels): all surviving
-      ``(sample, position, group)`` segments are compacted position-
-      major in one shot; activations and ``(Mb, S, words)`` weight
-      blocks are fancy-gathered per segment, AND → OR → popcount runs
-      over the whole batch, and per-position sums fall out of one
-      ``add.reduceat`` over the contiguous position runs.
-    * **Group-major loop** (wide groups): for each OR group the
-      surviving positions share one weight block, so the sweep is a
-      regular broadcast with no weight gathers at all. Wide groups are
-      few (``G * S = K``), keeping the Python loop short.
-
-    Work is chunked to ``plan.slab_bytes``. With two lanes a packed
-    group-position is dead only when both of its lanes are. Returns
-    ``(nnz_words, skipped_words)``: packed words processed vs skipped,
-    exported by the caller through :mod:`repro.obs` as realized
-    sparsity.
-    """
-    n = cols_g.shape[0]
-    words = table.shape[-1]
-    lanes = counts.shape[-1]
-    g, s = w_g.shape[1:3]
-    p_lo, p_hi = p_span.start, p_span.stop
-    width = p_hi - p_lo
-    m_lo, m_hi = m_span.start, m_span.stop
-    mb = m_hi - m_lo
-    counts[:, m_span, p_span] = 0
-    vals = cols_g[:, p_lo:p_hi].reshape(n, width, g, s, lanes)
-    rows_gs = rows_g.reshape(g, s)
-    zs = zero_slots.reshape(g, s) if zero_slots is not None else None
-    live = _live_values(vals)
-    if zs is not None:
-        live &= ~zs[None, None]
-    alive = live.any(axis=3)  # (N, width, G)
-    seen_total = live.size * words
-    w_blk = w_g[m_lo:m_hi]  # (Mb, G, S, words)
-    gw = group_weights[m_lo:m_hi] if group_weights is not None else None
-    m_idx = np.arange(m_lo, m_hi)[None, :]
-    # Chunking keeps the (Rc, Mb, S, words) product slab under budget.
-    r_chunk = max(1, plan.slab_bytes // max(1, mb * s * words * 8))
-
-    if s <= _SMALL_GROUP_OR:
-        sel = np.flatnonzero(alive)  # position-major (n, width, g)
-        if sel.size == 0:
-            return 0, seen_total
-        g_i = sel % g
-        pos = sel // g
-        n_i = pos // width
-        p_i = pos - n_i * width
-        # (G, Mb, S, words): one fancy index pulls a segment's weights.
-        w_gm = np.ascontiguousarray(w_blk.transpose(1, 0, 2, 3))
-        gw_t = gw.T if gw is not None else None  # (G, Mb)
-        starts = np.flatnonzero(np.diff(pos, prepend=-1))
-        n_u = n_i[starts]
-        p_u = p_i[starts] + p_lo
-        bounds = np.append(starts, sel.size)
-        npos = starts.size
-        pos_chunk = max(
-            1, r_chunk // max(1, -(-sel.size // npos))
-        )  # positions per batch, segments/position rounded up
-        for pa in range(0, npos, pos_chunk):
-            pb = min(pa + pos_chunk, npos)
-            s0, s1 = bounds[pa], bounds[pb]
-            gi_c = g_i[s0:s1]
-            act = _gather(
-                table, rows_gs[gi_c], vals[n_i[s0:s1], p_i[s0:s1], gi_c]
-            )
-            if zs is not None:
-                pad = zs[gi_c]
-                if pad.any():
-                    act[pad] = 0
-            prod = act[:, None] & w_gm[gi_c]  # (Rc, Mb, S, words)
-            if s == 1:
-                merged = prod[:, :, 0]
-            else:
-                merged = prod[:, :, 0] | prod[:, :, 1]
-                for i in range(2, s):
-                    merged = merged | prod[:, :, i]
-            cnt = _sparse_lane_counts(merged, lanes)  # (Rc, Mb, lanes)
-            if gw_t is not None:
-                cnt = cnt * gw_t[gi_c][..., None]
-            sums = np.add.reduceat(cnt, starts[pa:pb] - s0, axis=0)
-            counts[n_u[pa:pb, None], m_idx, p_u[pa:pb, None]] = sums
-        return sel.size * s * words, seen_total - sel.size * s * words
-
-    nnz_total = 0
-    alive_t = alive.transpose(2, 0, 1)  # (G, N, width)
-    for gi in range(g):
-        sel = np.flatnonzero(alive_t[gi])
-        if sel.size == 0:
-            continue
-        nnz_total += sel.size * s * words
-        w_run = w_blk[None, :, gi]  # (1, Mb, S, words)
-        for r_lo in range(0, sel.size, r_chunk):
-            run = sel[r_lo : r_lo + r_chunk]
-            n_i = run // width
-            p_i = run - n_i * width
-            act = _gather(table, rows_gs[gi][None, :], vals[n_i, p_i, gi])
-            if zs is not None and zs[gi].any():
-                act[:, zs[gi]] = 0
-            prod = act[:, None] & w_run  # (Rc, Mb, S, words)
-            merged = np.bitwise_or.reduce(prod, axis=2)
-            cnt = _sparse_lane_counts(merged, lanes)  # (Rc, Mb, lanes)
-            if gw is not None:
-                cnt = cnt * gw[None, :, gi, None]
-            counts[n_i[:, None], m_idx, (p_i + p_lo)[:, None]] += cnt
-    return nnz_total, seen_total - nnz_total
-
-
-def _sparse_lane_counts(merged: np.ndarray, lanes: int) -> np.ndarray:
-    """``(Rc, Mb, lanes)`` counts of the sparse path's merged words."""
-    out = np.empty(merged.shape[:-1] + (lanes,), dtype=np.int64)
-    _lane_counts(merged, None, (), out)
-    return out
-
-
 def _count_kernel_ops(
     mode: AccumulationMode, n: int, m: int, p: int, g: int, s: int,
     words: int, layout: str, lanes: int, fxp_overlap: int | None = None,
@@ -907,9 +703,8 @@ def _count_kernel_ops(
     accounting adds nothing to the inner loops. ``p`` counts *packed*
     positions, so the totals are the words the kernels realize: two
     lanes halve them. ``bit_ops`` is the 64-bit-word total scaled to
-    single bit operations. For sparse-path calls these are the
-    *dense-equivalent* totals; the realized volume is the dense total
-    minus ``sc.kernels.skipped_words`` worth of products.
+    single bit operations. A call with all-zero activations runs no
+    kernel and records nothing.
     """
     reg = get_registry()
     if not reg.enabled:
@@ -933,56 +728,11 @@ def _count_kernel_ops(
         reg.counter("sc.kernels.fxp_mixed").add(1)
 
 
-def _count_sparse_words(nnz: int, skipped: int) -> None:
-    """Export realized activation sparsity of one sparse-path call."""
-    reg = get_registry()
-    if not reg.enabled:
-        return
-    reg.counter("sc.kernels.sparse_calls").add(1)
-    reg.counter("sc.kernels.nnz_words", unit="words").add(nnz)
-    reg.counter("sc.kernels.skipped_words", unit="words").add(skipped)
-
-
-def _group_zero_frac(
-    cols_g: np.ndarray, zero_slots: np.ndarray | None, g: int, s: int
-) -> float:
-    """Fraction of packed ``(sample, position, group)`` coordinates whose
-    member values are all zero in every lane — computable from the
-    quantized columns alone, before any stream gather (value 0 encodes
-    the all-zero stream)."""
-    n, p = cols_g.shape[:2]
-    live = _live_values(cols_g.reshape(n, p, g, s, -1))
-    if zero_slots is not None:
-        live &= ~zero_slots.reshape(g, s)[None, None]
-    return float(1.0 - live.any(axis=3).mean()) if live.size else 0.0
-
-
-def _choose_kernel(plan: ExecPlan, value_zero_frac: float, group_zero_frac):
-    """Dense or sparse shard kernel per the plan's path policy.
-
-    ``group_zero_frac`` is a thunk so the ``"auto"`` density probe is
-    only paid when the plan actually defers the decision — and even
-    then only when it could matter: a group is dead only if *every*
-    member value is zero, so the group-level dead fraction is bounded
-    above by the value-level zero fraction, and a value fraction below
-    the threshold decides "dense" without probing.
-    """
-    if plan.path == "sparse":
-        return _sparse_grouped_counts
-    if plan.path == "dense":
-        return _grouped_counts
-    if value_zero_frac < SPARSE_AUTO_THRESHOLD:
-        return _grouped_counts
-    if group_zero_frac() >= SPARSE_AUTO_THRESHOLD:
-        return _sparse_grouped_counts
-    return _grouped_counts
-
-
 def _resolve_layout(
     plan: ExecPlan, mode: AccumulationMode, natural: bool
 ) -> str:
-    """Concrete dense layout for this call (``auto`` resolution plus the
-    natural-order fallback; the sparse kernel always runs k_inner)."""
+    """Concrete layout for this call (``auto`` resolution plus the
+    natural-order fallback)."""
     layout = plan.layout
     if layout == "auto":
         layout = (
@@ -1049,17 +799,16 @@ def fused_conv_counts(
         (:func:`stream_lanes`): ``<= 32`` packs two output positions
         per word. ``None`` runs one lane.
     stats:
-        Optional dict filled with this call's ``path`` (``"dense"`` /
-        ``"sparse"``), ``layout``, ``lanes``, ``shards`` (the shards it
-        ran as), and realized ``nnz_words`` / ``skipped_words`` (both 0
-        on the dense path).
+        Optional dict filled with this call's ``layout``, ``lanes`` and
+        ``shards`` (the shards it ran as). A call whose ``cols`` are all
+        zero runs no kernel: ``layout=None``, ``lanes=0``, ``shards=0``.
 
     Returns
     -------
     numpy.ndarray
         ``(N, Cout, P)`` int64 counts, positive minus negative channel —
         bit-identical to the reference per-channel reduction whichever
-        plan, path or lane count executes it.
+        plan or lane count executes it.
     """
     with kernel_call(num_workers) as workers:
         return _fused_conv_counts(
@@ -1090,19 +839,18 @@ def _fused_conv_counts(
         raise ShapeError(
             f"stream length {length} does not fit a {words}-word table"
         )
+    if not cols.any():
+        # Value 0 encodes the all-zero stream, which ANDs, ORs and
+        # popcounts to zero (serving warm-up feeds all-zero samples).
+        if stats is not None:
+            stats.update(layout=None, lanes=0, shards=0)
+        return np.zeros((n, cout, p), dtype=np.int64)
     lanes = stream_lanes(mode, length)
     k = cin * kh * kw
     rows_flat = np.ascontiguousarray(act_rows, dtype=np.int64).reshape(k)
     cols_flat = np.ascontiguousarray(cols).reshape(n, k, p)
     cols_lanes = _lane_columns(cols_flat, lanes)  # (N, K, P', lanes)
     p_packed = cols_lanes.shape[2]
-    # Fraction of zero-valued quantized activations: value 0 encodes the
-    # all-zero stream, so this is a cheap proxy for word-level sparsity.
-    zero_frac = (
-        1.0 - np.count_nonzero(cols_flat) / cols_flat.size
-        if cols_flat.size
-        else 0.0
-    )
 
     if plan is None:
         plan = heuristic_plan(mode, n, cin, kh, kw, cout, p_packed, words)
@@ -1116,9 +864,7 @@ def _fused_conv_counts(
         m = cout
         g, s = w_g.shape[1:3]
         layout = "k_inner"
-        # Singleton OR groups: the group-level zero fraction that
-        # decides the sparse path IS the value-level zero fraction.
-        kernel = _choose_kernel(plan, zero_frac, lambda: zero_frac)
+        kernel = _grouped_counts
     else:
         group_k, identity = group_structure(mode, cin, kh, kw)
         g, s = group_k.shape
@@ -1129,74 +875,40 @@ def _fused_conv_counts(
         if lanes == 2:
             # Both lanes AND against the same weight stream.
             wstack = wstack | (wstack << np.uint64(LANE_BITS))
-        natural = _natural_order(group_k, k)
-        layout = _resolve_layout(plan, mode, natural)
-        kernel = None
-        if natural:
-            # Natural-order modes can probe group density straight off
-            # the flat columns, before (and possibly instead of) the
-            # permuted gather-index build the k_inner/sparse paths need.
-            kernel = _choose_kernel(
-                plan,
-                zero_frac,
-                lambda: _natural_group_zero_frac(cols_lanes, s, g),
-            )
-        if layout == "s_outer" and kernel is _grouped_counts:
+        layout = _resolve_layout(plan, mode, _natural_order(group_k, k))
+        if layout == "s_outer":
             kernel = _souter_grouped_counts
             rows_g, cols_g = rows_flat, cols_lanes
             w_g = wstack.reshape(m, s, g, words)
         else:
-            layout = "k_inner"
+            kernel = _grouped_counts
             pad = mode is AccumulationMode.APC and bool(k % 2)
             w_g = _grouped_weights(wstack, group_k, pad)
             rows_g, cols_g, zero_slots = _grouped_gather_indices(
                 rows_flat, cols_lanes, group_k, identity
             )
-            if kernel is None:
-                kernel = _choose_kernel(
-                    plan,
-                    zero_frac,
-                    lambda: _group_zero_frac(cols_g, zero_slots, g, s),
-                )
     _count_kernel_ops(
         mode, n, m, p_packed, g, s, words, layout, lanes, fxp_overlap
     )
 
     counts = np.empty((n, m, p_packed, lanes), dtype=np.int64)
-    sparse = kernel is _sparse_grouped_counts
-    # The sparse kernel's compaction buffers depend on the data, so they
-    # cannot be preallocated; on a helper thread they would stay resident
-    # in its malloc arena. Sparse calls run on the calling thread.
-    spans = _shard_spans(p_packed, m, 1 if sparse else workers)
+    spans = _shard_spans(p_packed, m, workers)
     scratch = [
-        None if sparse else _Scratch(
-            kernel, n, g, s, words, lanes, span, plan, len(spans)
-        )
+        _Scratch(kernel, n, g, s, words, lanes, span, plan, len(spans))
         for span in spans
     ]
 
-    def run(shard: int) -> tuple[int, int] | None:
+    def run(shard: int) -> None:
         p_span, m_span = spans[shard]
-        return kernel(
+        kernel(
             table, rows_g, cols_g, zero_slots, w_g,
-            counts, p_span, m_span, plan, group_weights, scratch[shard],
+            counts, p_span, m_span, group_weights, scratch[shard],
         )
 
-    shard_words = parallel_map(run, range(len(spans)), workers)
+    parallel_map(run, range(len(spans)), workers)
     del scratch  # freed before the unpack below allocates the result
-    nnz = sum(st[0] for st in shard_words) if sparse else 0
-    skipped = sum(st[1] for st in shard_words) if sparse else 0
-    if sparse:
-        _count_sparse_words(nnz, skipped)
     if stats is not None:
-        stats.update(
-            path="sparse" if sparse else "dense",
-            layout=layout,
-            lanes=lanes,
-            shards=len(spans),
-            nnz_words=nnz,
-            skipped_words=skipped,
-        )
+        stats.update(layout=layout, lanes=lanes, shards=len(spans))
     counts = counts.reshape(n, m, p_packed * lanes)[:, :, :p]
     if mode is AccumulationMode.FXP:
         return counts

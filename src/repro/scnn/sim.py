@@ -222,18 +222,17 @@ class _ExecState:
 
 
 def _merge_kernel_stats(total: dict, call: dict) -> None:
-    """Fold one fused call's stats into a forward's ``kernel_path`` /
-    ``kernel_layout`` / ``lanes`` / ``shards`` / word counts: words add
-    up, and a value that differs across batch chunks reads ``"mixed"``."""
-    total["nnz_words"] += call["nnz_words"]
-    total["skipped_words"] += call["skipped_words"]
+    """Fold one fused call's stats into a forward's ``kernel_layout`` /
+    ``lanes`` / ``shards``: a value that differs across batch chunks
+    reads ``"mixed"``. A fused call never reports ``lanes=None``, so
+    that marks the forward's first call."""
+    first = total["lanes"] is None
     for key, name in (
-        ("kernel_path", "path"),
         ("kernel_layout", "layout"),
         ("lanes", "lanes"),
         ("shards", "shards"),
     ):
-        if total[key] is None:
+        if first:
             total[key] = call[name]
         elif total[key] != call[name]:
             total[key] = "mixed"
@@ -444,18 +443,9 @@ class SCConvSimulator:
         mode = cfg.accumulation
         bytes_touched = 0
         # This forward's own kernel stats, returned by each fused call so
-        # concurrent forwards never see each other's words. Path, layout,
-        # lanes and shards stay None on the reference engine; the words
-        # count realized sparse-path sparsity (zero when the dense path
-        # ran).
-        kernel = {
-            "kernel_path": None,
-            "kernel_layout": None,
-            "lanes": None,
-            "shards": None,
-            "nnz_words": 0,
-            "skipped_words": 0,
-        }
+        # concurrent forwards never see each other's. They stay None on
+        # the reference engine.
+        kernel = {"kernel_layout": None, "lanes": None, "shards": None}
         with reg.span(
             "scnn.conv_forward",
             layer=self.layer_index,
@@ -536,7 +526,6 @@ class SCConvSimulator:
         if reg.enabled:
             bytes_touched += table.nbytes + wp.nbytes + wn.nbytes + out.nbytes
             reg.counter(f"scnn.outputs.{mode.value}").add(out.size)
-            touched = kernel["nnz_words"] + kernel["skipped_words"]
             reg.add_profile(
                 {
                     "kind": "layer_forward",
@@ -554,11 +543,6 @@ class SCConvSimulator:
                     "wall_s": sp.wall_s,
                     "cpu_s": sp.cpu_s,
                     **kernel,
-                    "word_sparsity": (
-                        float(kernel["skipped_words"] / touched)
-                        if touched
-                        else 0.0
-                    ),
                 }
             )
         return out

@@ -49,8 +49,8 @@ class TestDropout:
         layer = nn.Dropout(0.3, seed=2)
         x = Tensor(np.ones((100, 100)))
         y = layer(x).data
-        zero_fraction = (y == 0).mean()
-        assert 0.25 < zero_fraction < 0.35
+        dropped = (y == 0).mean()
+        assert 0.25 < dropped < 0.35
 
     def test_inverted_scaling_preserves_mean(self):
         layer = nn.Dropout(0.5, seed=3)

@@ -379,24 +379,25 @@ class TestLinearGroupFolding:
 class TestKernelStatsAttribution:
     """Per-layer kernel stats come from each forward's own fused calls,
     so concurrent forwards of different layers never see each other's
-    words (process-global counter deltas would)."""
+    stats (process-global state would)."""
 
-    _STAT_KEYS = ("kernel_path", "kernel_layout", "lanes", "shards",
-                  "nnz_words", "skipped_words")
+    _STAT_KEYS = ("kernel_layout", "lanes", "shards")
 
     def _layers(self):
         rng = np.random.default_rng(5)
         layers = []
-        # Zero shares high enough that "auto" picks the sparse path, so
-        # both layers report non-zero realized words.
-        for index, (mode, cin, size, zeros) in enumerate(
-            (("fxp", 4, 12, 0.8), ("pbhw", 2, 10, 0.95))
+        # FXP runs k_inner on one lane, PBHW s_outer on two, so the two
+        # layers' stats differ.
+        for index, (mode, cin, size) in enumerate(
+            (("fxp", 4, 12), ("pbhw", 2, 10))
         ):
             x = rng.uniform(0, 1, size=(4, cin, size, size)).astype(np.float32)
-            x[rng.random(x.shape) < zeros] = 0.0
             w = rng.uniform(-0.4, 0.4, size=(5, cin, 3, 3)).astype(np.float32)
+            # An explicit shard count: concurrent calls split the default
+            # share, so their shards would differ from the serial run's.
             cfg = SCConfig(
-                stream_length=32, stream_length_pooling=32, accumulation=mode
+                stream_length=32, stream_length_pooling=32,
+                accumulation=mode, num_workers=2,
             )
             layers.append(
                 (SCConvSimulator((5, cin, 3, 3), cfg, layer_index=index), x, w)
@@ -436,9 +437,9 @@ class TestKernelStatsAttribution:
             assert all(
                 len(stats) == 1 for stats in serial["profile"].values()
             )
-            at = self._STAT_KEYS.index("nnz_words")
-            nnz = [next(iter(serial["profile"][i]))[at] for i in (0, 1)]
-            assert all(nnz) and nnz[0] != nnz[1]  # distinct sparse layers
+            first, second = (next(iter(serial["profile"][i])) for i in (0, 1))
+            assert first[:2] == ("k_inner", 1)
+            assert second[:2] == ("s_outer", 2)
 
             obs.reset()
             barrier = threading.Barrier(len(layers))
@@ -488,3 +489,25 @@ class TestKernelStatsAttribution:
                 assert profile["shards"] == want
                 (span,) = [s for s in reg.spans if s.name == "scnn.conv_forward"]
                 assert span.attrs.get("shards") == want
+
+    def test_all_zero_chunk_reads_mixed(self):
+        """A batch chunk of all-zero activations runs no kernel
+        (``layout=None``, ``lanes=0``, ``shards=0``), so a forward that
+        also runs a kernel reads ``"mixed"`` for every kernel stat,
+        whichever chunk comes first."""
+        from repro import obs
+
+        rng = np.random.default_rng(11)
+        x = rng.uniform(0.2, 1, size=(2, 3, 8, 8)).astype(np.float32)
+        x[0] = 0.0
+        w = rng.uniform(-0.4, 0.4, size=(4, 3, 3, 3)).astype(np.float32)
+        cfg = SCConfig(
+            stream_length=32, stream_length_pooling=32, batch_chunk=1,
+            num_workers=1,
+        )
+        with obs.enabled_scope(True):
+            for batch in (x, x[::-1].copy()):
+                obs.reset()
+                SCConvSimulator((4, 3, 3, 3), cfg)(batch, w)
+                (profile,) = obs.get_registry().profiles
+                assert [profile[k] for k in self._STAT_KEYS] == ["mixed"] * 3
