@@ -249,8 +249,9 @@ def set_engine(model: Module, engine: str) -> None:
 
 
 def set_num_workers(model: Module, num_workers: int) -> None:
-    """Set the fused-engine worker count on every SC layer (``0`` = one
-    worker per CPU; see :mod:`repro.utils.parallel`)."""
+    """Set the fused-engine shard count on every SC layer (``0`` = the
+    process's kernel share, split among the kernel calls running at once;
+    see :func:`repro.utils.parallel.kernel_call`)."""
     _reconfigure_execution(model, num_workers=num_workers)
 
 

@@ -386,8 +386,8 @@ class TestKernelStatsAttribution:
     def _layers(self):
         rng = np.random.default_rng(5)
         layers = []
-        # FXP runs k_inner on one lane, PBHW s_outer on two, so the two
-        # layers' stats differ.
+        # FXP runs the product-count tables, PBHW the s_outer sweep, so
+        # the two layers' stats differ.
         for index, (mode, cin, size) in enumerate(
             (("fxp", 4, 12), ("pbhw", 2, 10))
         ):
@@ -438,7 +438,7 @@ class TestKernelStatsAttribution:
                 len(stats) == 1 for stats in serial["profile"].values()
             )
             first, second = (next(iter(serial["profile"][i])) for i in (0, 1))
-            assert first[:2] == ("k_inner", 1)
+            assert first[:2] == ("table", 2)
             assert second[:2] == ("s_outer", 2)
 
             obs.reset()
