@@ -17,7 +17,10 @@ when the target is identified — ``self.m()`` on the own class (or a
 known base), a module function, an imported name, a constructor, or a
 method on an object whose type was inferred (constructor assignment,
 parameter/attribute annotation, or a project function's annotated
-return type, chained through call expressions). Unresolvable calls are
+return type, chained through call expressions). A method call resolved
+on class ``C`` also reaches every override of that method in a known
+subclass of ``C``, since the object may be any of them (a hook a base
+class declares and its subclasses implement). Unresolvable calls are
 recorded with their dotted path only, so the passes can still match
 external sources/sinks (``time.time``) without inventing project edges.
 
@@ -110,6 +113,14 @@ class FlowProgram:
         self.edges: dict[str, list[tuple[str, bool]]] = {}
         #: callee qualname -> [(caller qualname, held-at-site)]
         self.callers: dict[str, list[tuple[str, frozenset]]] = {}
+        #: class qualname -> its direct subclasses among the scanned ones
+        self.subclasses: dict[str, list[ClassInfo]] = {}
+        for cls in table.classes.values():
+            for base in cls.bases:
+                resolved = table.base_class(cls, base)
+                if resolved is not None:
+                    self.subclasses.setdefault(resolved.qualname, [])
+                    self.subclasses[resolved.qualname].append(cls)
         for info in table.functions.values():
             walker = _SummaryWalker(self, info)
             summary = walker.run()
@@ -172,6 +183,19 @@ class FlowProgram:
 
     def add_entry(self, entry: ThreadEntry) -> None:
         self.entries.append(entry)
+
+    def overrides(self, cls: ClassInfo, name: str) -> tuple[str, ...]:
+        """Method ``name`` as defined in every known subclass of ``cls``."""
+        found, seen = set(), set()
+        stack = list(self.subclasses.get(cls.qualname, ()))
+        while stack:
+            sub = stack.pop()
+            if sub.qualname not in seen:
+                seen.add(sub.qualname)
+                if name in sub.methods:
+                    found.add(sub.methods[name].qualname)
+                stack.extend(self.subclasses.get(sub.qualname, ()))
+        return tuple(sorted(found))
 
 
 # -- the walker ---------------------------------------------------------------
@@ -372,7 +396,12 @@ class _SummaryWalker:
                 if cls is not None:
                     method = self.table.method_on(cls, func.attr)
                     if method is not None:
-                        return self._Resolved(callees=(method.qualname,))
+                        return self._Resolved(
+                            callees=(
+                                method.qualname,
+                                *self.program.overrides(cls, func.attr),
+                            )
+                        )
                     return self._Resolved(
                         external=f"{base_type}.{func.attr}"
                     )

@@ -209,12 +209,12 @@ class SymbolTable:
             if name in current.methods:
                 return current.methods[name]
             for base in current.bases:
-                resolved = self._base_class(current, base)
+                resolved = self.base_class(current, base)
                 if resolved is not None:
                     stack.append(resolved)
         return None
 
-    def _base_class(self, cls: ClassInfo, dotted: str) -> ClassInfo | None:
+    def base_class(self, cls: ClassInfo, dotted: str) -> ClassInfo | None:
         module = self.modules.get(cls.module)
         if module is None:
             return None

@@ -7,12 +7,17 @@ Request path::
                                                failover across the
                                                placement set)
 
-The router parses just enough of the body to learn the model name, then
-forwards the raw bytes — replicas re-validate, so the router stays
-byte-transparent and cheap. Scheduling between models is weighted-fair
-(:mod:`repro.cluster.wfq`); candidate choice within a model's placement
-set is by live health score (:mod:`repro.cluster.health`) with the
-rendezvous placement order as the tie-break.
+:class:`RouterHTTPServer` is the replica's own frontend
+(:mod:`repro.serve.server`) with the router's hooks, so both edges
+speak one protocol and reject malformed requests, unknown models and
+wrong shapes with the same typed 4xx before anything is queued; an
+admitted request's body is forwarded untouched, and a replica's error
+response is decoded back into its typed error
+(:func:`repro.serve.client.error_from_http`). Scheduling between models
+is weighted-fair (:mod:`repro.cluster.wfq`); candidate choice within a
+model's placement set is by live health score
+(:mod:`repro.cluster.health`) with the rendezvous placement order as
+the tie-break.
 
 Failure handling distinguishes three classes per attempt:
 
@@ -41,53 +46,30 @@ trace shows router → replica → worker rows.
 
 from __future__ import annotations
 
-import itertools
 import json
 import threading
 import time
 import urllib.error
-import urllib.parse
 import urllib.request
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro import obs
 from repro.cluster.manager import ReplicaManager
 from repro.cluster.wfq import make_scheduler
 from repro.errors import (
-    CircuitOpenError,
     DeadlineExceededError,
     QueueFullError,
     ReplicaUnavailableError,
     ReproError,
     ServeError,
-    ServiceDrainingError,
-    ShapeError,
     UnknownModelError,
 )
 from repro.obs import trace
-from repro.obs.export import render_prometheus
-from repro.serve.client import retry_after_from_headers
-from repro.serve.server import status_for
+from repro.serve.client import BACKPRESSURE, error_from_http
+from repro.serve.server import HTTPFrontend
 from repro.serve.service import _Stat, _StatHistogram
 
 __all__ = ["ClusterRouter", "RouterHTTPServer", "RouterPolicy", "make_router"]
-
-#: Replica status → error class for proxied failures. 503 bodies are
-#: disambiguated by the error name the replica reports (draining vs
-#: circuit open) — both fail over, but the distinction is kept for the
-#: client and the counters.
-_PROXY_ERROR_FOR_STATUS = {
-    400: ShapeError,
-    404: UnknownModelError,
-    429: QueueFullError,
-    503: CircuitOpenError,
-    504: DeadlineExceededError,
-}
-
-#: Replica answers that mean "try another replica": transient shedding,
-#: not request defects.
-_BACKPRESSURE = (QueueFullError, CircuitOpenError, ServiceDrainingError)
 
 
 @dataclass(frozen=True)
@@ -152,6 +134,9 @@ class ClusterRouter:
         weights = dict(self.policy.weights or {})
         for spec in manager.models:
             weights.setdefault(spec.name, spec.weight)
+        self._input_shapes = {
+            spec.name: tuple(spec.input_shape) for spec in manager.models
+        }
         self.scheduler = make_scheduler(
             self.policy.scheduler,
             max_per_model=self.policy.max_queue_per_model,
@@ -221,9 +206,23 @@ class ClusterRouter:
 
     # -- request path --------------------------------------------------------
 
+    def input_shape(self, model: str) -> tuple[int, ...]:
+        """One sample's shape; raises :class:`UnknownModelError` for a
+        model outside the cluster's model set."""
+        try:
+            return self._input_shapes[model]
+        except KeyError:
+            raise UnknownModelError(
+                f"unknown model {model!r}; cluster serves "
+                f"{sorted(self._input_shapes)}"
+            ) from None
+
     def submit(self, model: str, body: bytes, ctx=None) -> _QueuedRequest:
-        """Admit one request; raises :class:`QueueFullError` when the
-        model's sub-queue is at capacity."""
+        """Admit one request; raises :class:`UnknownModelError` for a
+        model the cluster does not serve (so the scheduler only ever
+        holds known names) and :class:`QueueFullError` when the model's
+        sub-queue is at capacity."""
+        self.input_shape(model)
         item = _QueuedRequest(body, ctx, time.monotonic())
         if not self.scheduler.offer(model, item):
             self._rejected.add(1)
@@ -274,21 +273,7 @@ class ClusterRouter:
             ) as response:
                 return json.loads(response.read())
         except urllib.error.HTTPError as err:
-            retry_after_s = retry_after_from_headers(err.headers)
-            try:
-                payload = json.loads(err.read())
-            except (json.JSONDecodeError, ValueError):
-                payload = {}
-            kind = _PROXY_ERROR_FOR_STATUS.get(err.code, ServeError)
-            if err.code == 503 and payload.get("error") == "ServiceDrainingError":
-                kind = ServiceDrainingError
-            error = kind(
-                f"replica answered HTTP {err.code}: "
-                f"{payload.get('detail', err.reason)}"
-            )
-            if retry_after_s is not None and hasattr(error, "retry_after_s"):
-                error.retry_after_s = retry_after_s
-            raise error from None
+            raise error_from_http(err) from None
 
     def _forward_loop(self) -> None:
         while not self._stop.is_set():
@@ -371,7 +356,7 @@ class ClusterRouter:
                     "cluster.forward", model=model, replica=rid
                 ):
                     result = self._proxy(endpoint, item)
-            except _BACKPRESSURE as error:
+            except BACKPRESSURE as error:
                 # Healthy but shedding: don't penalise, do fail over.
                 health.note_result(True)
                 self._failovers.add(1)
@@ -544,149 +529,11 @@ class ClusterRouter:
         ]
 
 
-class _RouterHandler(BaseHTTPRequestHandler):
-    """HTTP surface mirroring the replica frontend's endpoints."""
+class RouterHTTPServer(HTTPFrontend):
+    """The shared frontend bound to one :class:`ClusterRouter`."""
 
-    server: "RouterHTTPServer"
-    protocol_version = "HTTP/1.1"
-
-    def log_message(self, fmt, *args):  # noqa: A002 - stdlib signature
-        if self.server.verbose:
-            super().log_message(fmt, *args)
-
-    def _send_json(self, status, payload, extra_headers=None) -> None:
-        body = json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        echo = getattr(self, "_trace_echo", None)
-        if echo:
-            self.send_header(trace.TRACE_HEADER, echo)
-        for name, value in (extra_headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_error_json(self, error: Exception) -> None:
-        import math
-
-        headers = None
-        retry_after_s = getattr(error, "retry_after_s", None)
-        if retry_after_s is not None:
-            headers = {
-                "Retry-After": str(max(0, math.ceil(retry_after_s))),
-                "X-Retry-After-Ms": f"{retry_after_s * 1e3:.3f}",
-            }
-        self._send_json(
-            status_for(error),
-            {"error": type(error).__name__, "detail": str(error)},
-            extra_headers=headers,
-        )
-
-    def _send_text(self, status, body, content_type) -> None:
-        data = body.encode()
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def do_GET(self):  # noqa: N802 - stdlib casing
-        router = self.server.router
-        parsed = urllib.parse.urlsplit(self.path)
-        if parsed.path == "/healthz":
-            endpoints = router.manager.endpoints()
-            self._send_json(
-                200,
-                {
-                    "status": "ok",
-                    "role": "router",
-                    "replicas": {
-                        rid: {"endpoint": ep, "score": router.manager.health(rid).score()}
-                        for rid, ep in endpoints.items()
-                    },
-                    "models": sorted(
-                        m.name for m in router.manager.models
-                    ),
-                },
-            )
-        elif parsed.path == "/stats":
-            self._send_json(200, router.stats())
-        elif parsed.path == "/metrics":
-            body = render_prometheus(
-                extra_families=router.cluster_families()
-            )
-            self._send_text(
-                200, body, "text/plain; version=0.0.4; charset=utf-8"
-            )
-        elif parsed.path == "/tracez":
-            query = urllib.parse.parse_qs(parsed.query)
-            try:
-                limit = int(query.get("limit", ["10"])[0])
-            except ValueError:
-                limit = 10
-            self._send_json(
-                200,
-                {
-                    "traces": router.merged_traces(limit=limit),
-                    "epoch_wall": obs.get_registry().epoch_wall,
-                },
-            )
-        else:
-            self._send_json(404, {"error": "NotFound", "detail": self.path})
-
-    def _request_trace(self):
-        from_header = trace.TraceContext.from_header(
-            self.headers.get(trace.TRACE_HEADER)
-        )
-        if from_header is not None:
-            return from_header.child()
-        sample = self.server.trace_sample
-        if sample and next(self.server.request_seq) % sample == 0:
-            return trace.new_trace()
-        return None
-
-    def do_POST(self):  # noqa: N802 - stdlib casing
-        if self.path != "/predict":
-            self._send_json(404, {"error": "NotFound", "detail": self.path})
-            return
-        router = self.server.router
-        try:
-            length = int(self.headers.get("Content-Length", 0))
-            body = self.rfile.read(length)
-            model = json.loads(body or b"{}")["model"]
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as err:
-            self._send_error_json(
-                ShapeError(f"malformed request body: {err}")
-            )
-            return
-        ctx = self._request_trace()
-        self._trace_echo = ctx.to_header() if ctx is not None else None
-        try:
-            if ctx is None:
-                item = router.submit(model, body)
-            else:
-                with trace.scope(ctx), obs.span(
-                    "cluster.request", model=model
-                ):
-                    item = router.submit(model, body, ctx=ctx)
-            if not item.event.wait(router.policy.queue_wait_timeout_s):
-                raise DeadlineExceededError(
-                    "router gave up after "
-                    f"{router.policy.queue_wait_timeout_s:.1f}s"
-                )
-            if item.error is not None:
-                raise item.error
-        except ReproError as err:
-            self._send_error_json(err)
-            return
-        self._send_json(200, item.result)
-
-
-class RouterHTTPServer(ThreadingHTTPServer):
-    """Threading HTTP server bound to one :class:`ClusterRouter`."""
-
-    daemon_threads = True
+    kind = "cluster"
+    router: ClusterRouter
 
     def __init__(
         self,
@@ -695,22 +542,44 @@ class RouterHTTPServer(ThreadingHTTPServer):
         verbose: bool = False,
         trace_sample: int = 0,
     ):
-        super().__init__(address, _RouterHandler)
+        super().__init__(address, verbose, trace_sample)
         self.router = router
-        self.verbose = verbose
-        self.trace_sample = trace_sample
-        self.request_seq = itertools.count()
 
-    @property
-    def port(self) -> int:
-        return self.server_address[1]
+    def health(self) -> dict:
+        manager = self.router.manager
+        return {
+            "status": "ok",
+            "role": "router",
+            "replicas": {
+                rid: {"endpoint": ep, "score": manager.health(rid).score()}
+                for rid, ep in manager.endpoints().items()
+            },
+            "models": sorted(m.name for m in manager.models),
+        }
 
-    def serve_background(self) -> threading.Thread:
-        thread = threading.Thread(
-            target=self.serve_forever, name="cluster-http", daemon=True
-        )
-        thread.start()
-        return thread
+    def stats(self) -> dict:
+        return self.router.stats()
+
+    def metric_families(self) -> dict:
+        return self.router.cluster_families()
+
+    def traces(self, limit: int) -> list[dict]:
+        return self.router.merged_traces(limit=limit)
+
+    def input_shape(self, model: str) -> tuple[int, ...]:
+        return self.router.input_shape(model)
+
+    def predict(self, model, inputs, deadline_s, body):
+        router = self.router
+        item = router.submit(model, body, ctx=trace.current())
+        if not item.event.wait(router.policy.queue_wait_timeout_s):
+            raise DeadlineExceededError(
+                "router gave up after "
+                f"{router.policy.queue_wait_timeout_s:.1f}s"
+            )
+        if item.error is not None:
+            raise item.error
+        return item.result
 
 
 def make_router(

@@ -3,23 +3,19 @@
 :class:`Client` wraps an :class:`InferenceService` directly — the fast
 path for notebooks and benchmarks sharing the server's process.
 :class:`HTTPClient` speaks the :mod:`repro.serve.server` JSON protocol
-with stdlib ``urllib`` only, mapping the documented status codes back to
-the same exception types the in-process path raises, so calling code is
-transport-agnostic:
-
-* 404 → :class:`~repro.errors.UnknownModelError`
-* 429 → :class:`~repro.errors.QueueFullError`
-* 503 → :class:`~repro.errors.CircuitOpenError`
-* 504 → :class:`~repro.errors.DeadlineExceededError`
-* other non-2xx → :class:`~repro.errors.ServeError`
+with stdlib ``urllib`` only. :func:`error_from_http` decodes an error
+response back into the exception type the server raised — the one
+decoder of :data:`~repro.serve.server.STATUS_FOR`, which the cluster
+router's proxy path uses too — so calling code is transport-agnostic.
+Other non-2xx responses become :class:`~repro.errors.ServeError`.
 
 Backpressure errors (429/503) carry the server's retry hint as
 ``error.retry_after_s``, parsed from ``X-Retry-After-Ms`` (sub-second
 precision) or the standard ``Retry-After`` header. Both clients accept
 an optional :class:`~repro.utils.retry.RetryPolicy`; with one set,
-backpressure rejections are retried transparently with that hint as the
-backoff floor — the caller only ever sees the error once the policy is
-exhausted.
+backpressure rejections (:data:`BACKPRESSURE`) are retried
+transparently with that hint as the backoff floor — the caller only
+ever sees the error once the policy is exhausted.
 
 With ``trace_requests=True``, :class:`HTTPClient` stamps each predict
 with an ``X-Repro-Trace`` header — continuing the calling thread's
@@ -40,33 +36,22 @@ import numpy as np
 
 from repro.errors import (
     CircuitOpenError,
-    DeadlineExceededError,
     QueueFullError,
     ServeError,
-    UnknownModelError,
+    ServiceDrainingError,
 )
 from repro.obs import trace
+from repro.serve.server import STATUS_FOR
 from repro.serve.service import InferenceService, PredictResult
 from repro.utils.retry import RetryPolicy, call_with_retry
 
-_ERROR_FOR_STATUS = {
-    404: UnknownModelError,
-    429: QueueFullError,
-    503: CircuitOpenError,
-    504: DeadlineExceededError,
-}
-
-#: Server responses worth retrying: transient backpressure, not request
-#: defects (a 400/404 would fail identically every attempt).
-_RETRYABLE = (QueueFullError, CircuitOpenError)
+#: Transient shedding worth retrying (here) or failing over (at the
+#: router), not request defects: a 400/404 fails identically every time.
+BACKPRESSURE = (QueueFullError, CircuitOpenError, ServiceDrainingError)
 
 
 def retry_after_from_headers(headers) -> float | None:
-    """Parse the backoff hint; prefers the millisecond extension.
-
-    Shared with the cluster router's proxy path, which feeds a shed
-    replica's hint into its failover decision.
-    """
+    """Parse the backoff hint; prefers the millisecond extension."""
     precise = headers.get("X-Retry-After-Ms")
     if precise is not None:
         try:
@@ -82,16 +67,34 @@ def retry_after_from_headers(headers) -> float | None:
     return None
 
 
-#: Backward-compatible alias (pre-cluster internal name).
-_retry_after_from_headers = retry_after_from_headers
+def error_from_http(err: urllib.error.HTTPError) -> ServeError:
+    """The typed error an error response of the JSON protocol stands for.
+
+    The error name in the body picks the class; the status decides only
+    when the name is missing or not in :data:`STATUS_FOR`. The retry
+    hint rides along as ``retry_after_s``.
+    """
+    try:
+        payload = json.loads(err.read())
+        name, detail = payload.get("error"), payload.get("detail", err.reason)
+    except (ValueError, AttributeError):  # not a JSON object
+        name, detail = None, err.reason
+    kind = next((k for k, _ in STATUS_FOR if k.__name__ == name), None)
+    if kind is None:
+        kind = next((k for k, s in STATUS_FOR if s == err.code), ServeError)
+    error = kind(f"HTTP {err.code}: {detail}")
+    retry_after_s = retry_after_from_headers(err.headers)
+    if retry_after_s is not None and hasattr(error, "retry_after_s"):
+        error.retry_after_s = retry_after_s
+    return error
 
 
 class Client:
     """Synchronous in-process client over an :class:`InferenceService`.
 
-    With ``retry`` set, queue-full / circuit-open rejections are retried
-    per the policy (honouring the service's ``retry_after_s`` hint)
-    before surfacing.
+    With ``retry`` set, backpressure rejections are retried per the
+    policy (honouring the service's ``retry_after_s`` hint) before
+    surfacing.
     """
 
     def __init__(
@@ -103,7 +106,7 @@ class Client:
     def _call(self, fn):
         if self.retry is None:
             return fn()
-        return call_with_retry(fn, policy=self.retry, retry_on=_RETRYABLE)
+        return call_with_retry(fn, policy=self.retry, retry_on=BACKPRESSURE)
 
     def predict(
         self,
@@ -175,16 +178,7 @@ class HTTPClient:
             with urllib.request.urlopen(request, timeout=self.timeout_s) as r:
                 return json.loads(r.read())
         except urllib.error.HTTPError as err:
-            retry_after_s = _retry_after_from_headers(err.headers)
-            try:
-                detail = json.loads(err.read()).get("detail", "")
-            except (json.JSONDecodeError, ValueError):
-                detail = err.reason
-            kind = _ERROR_FOR_STATUS.get(err.code, ServeError)
-            error = kind(f"HTTP {err.code}: {detail}")
-            if retry_after_s is not None and isinstance(error, _RETRYABLE):
-                error.retry_after_s = retry_after_s
-            raise error from None
+            raise error_from_http(err) from None
         except urllib.error.URLError as err:
             raise ServeError(f"cannot reach {url}: {err.reason}") from None
 
@@ -194,7 +188,7 @@ class HTTPClient:
         return call_with_retry(
             lambda: self._request_once(path, payload),
             policy=self.retry,
-            retry_on=_RETRYABLE,
+            retry_on=BACKPRESSURE,
         )
 
     def predict(

@@ -1,16 +1,25 @@
-"""Stdlib HTTP frontend over :class:`~repro.serve.service.InferenceService`.
+"""Stdlib HTTP frontend: the one request handler every server shares.
+
+:class:`ServeHTTPServer` (over an :class:`InferenceService`) and
+:class:`~repro.cluster.router.RouterHTTPServer` (over a
+:class:`~repro.cluster.router.ClusterRouter`) subclass
+:class:`HTTPFrontend` and supply its hooks; the handler owns the rest.
 
 Endpoints (JSON in, JSON out):
 
 * ``POST /predict`` — body ``{"model": str, "inputs": nested list,
   "deadline_ms": number?}``; ``inputs`` is one sample (model input
   shape) or a batch (leading axis). Response: one result dict or a list
-  of them (see :meth:`PredictResult.to_dict`).
-* ``GET /healthz`` — liveness plus registered model names.
-* ``GET /stats`` — the full :meth:`InferenceService.stats` payload.
+  of them (see :meth:`PredictResult.to_dict`). A malformed request (bad
+  ``Content-Length``, a body that is not a JSON object, a missing or
+  non-string ``model``, non-numeric, NaN/infinite or wrong-shaped
+  ``inputs``, a non-numeric ``deadline_ms``) is rejected before
+  anything is queued.
+* ``GET /healthz`` — liveness plus the served model names.
+* ``GET /stats`` — the server's statistics payload.
 * ``GET /metrics`` — Prometheus text exposition (v0.0.4) of the global
-  obs registry (counters, gauges, histograms, rolling-window
-  quantiles) plus the service's per-model SLO burn rates.
+  obs registry plus the server's own families (here the per-model SLO
+  burn rates).
 * ``GET /tracez`` — the most recent sampled traces as JSON
   (``?limit=N`` caps the count, default 10).
 
@@ -18,21 +27,21 @@ Tracing: a ``POST /predict`` carrying ``X-Repro-Trace`` joins the
 caller's trace (the handler runs the request under a child context and
 echoes the header back); without the header, every ``trace_sample``-th
 request starts a fresh trace so ``/tracez`` stays populated under
-steady traffic at bounded overhead. The per-request ``serve.request``
-root span is only recorded for traced requests — an untraced request
-touches none of the span machinery.
+steady traffic at bounded overhead. The per-request root span
+(``serve.request`` or ``cluster.request``) is only recorded for traced
+requests — an untraced request touches none of the span machinery.
 
-Errors map onto status codes the way a client expects to branch on
-them: 400 malformed request / bad shape, 404 unknown model, 429 queue
-full (back off and retry), 503 circuit open (the model is shedding
-load), 504 deadline exceeded. Backpressure responses (429/503) carry
-the standard ``Retry-After`` header (integer seconds, ceiling-rounded)
-plus ``X-Retry-After-Ms`` for sub-second precision — the service's
-admission errors expose the hint as ``retry_after_s`` and
-:class:`~repro.serve.client.HTTPClient` feeds it back into its retry
-backoff. ``ThreadingHTTPServer`` gives one thread per connection; all
-cross-request coordination lives in the service, so the handler is
-stateless.
+Errors map onto status codes through :data:`STATUS_FOR`: 400 malformed
+request / bad shape, 404 unknown model, 429 queue full (back off and
+retry), 503 circuit open or draining, 504 deadline exceeded, 500
+anything else. The body names the error class, which
+:func:`repro.serve.client.error_from_http` decodes. Backpressure
+responses (429/503) carry the standard ``Retry-After`` header (integer
+seconds, ceiling-rounded) plus ``X-Retry-After-Ms`` for sub-second
+precision, which :class:`~repro.serve.client.HTTPClient` feeds back
+into its retry backoff. ``ThreadingHTTPServer`` gives one thread per
+connection; all cross-request coordination lives behind the hooks, so
+the handler is stateless.
 """
 
 from __future__ import annotations
@@ -67,16 +76,17 @@ from repro.serve.slo import slo_families
 #: this many starts a fresh trace (0 disables ambient sampling).
 DEFAULT_TRACE_SAMPLE = 16
 
-#: Error → HTTP status mapping, shared with the cluster router so both
-#: frontends speak the same protocol (and the HTTP client's inverse map
-#: in :mod:`repro.serve.client` round-trips either way).
+#: Error ↔ HTTP status: the protocol's only table. Both frontends send
+#: through :func:`status_for`, and the client's decoder reads the error
+#: name back (the status only when the name is missing or unknown, so
+#: a bare 503 decodes to the first 503 listed).
 STATUS_FOR = (
+    (ShapeError, 400),
     (UnknownModelError, 404),
     (QueueFullError, 429),
-    (ServiceDrainingError, 503),
     (CircuitOpenError, 503),
+    (ServiceDrainingError, 503),
     (DeadlineExceededError, 504),
-    (ShapeError, 400),
 )
 
 
@@ -88,10 +98,32 @@ def status_for(error: Exception) -> int:
     return 500
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """One request; the service reference hangs off the server object."""
+def _parse_predict(body: bytes) -> tuple[str, np.ndarray, float]:
+    """``(model, inputs, deadline_s)`` of a ``/predict`` body, else a
+    :class:`ShapeError`; no ``deadline_ms`` gives ``-1.0`` (the policy
+    default)."""
+    try:
+        request = json.loads(body or b"{}")
+        model, deadline_ms = request["model"], request.get("deadline_ms")
+        with np.errstate(over="ignore"):  # float32 overflow: caught below
+            inputs = np.asarray(request["inputs"], dtype=np.float32)
+    except (KeyError, TypeError, ValueError, RecursionError) as err:
+        raise ShapeError(f"malformed request body: {err!r}") from None
+    if not isinstance(model, str):
+        raise ShapeError(f"model must be a string, not {model!r}")
+    if not np.isfinite(inputs).all():
+        raise ShapeError("inputs hold NaN or infinite values")
+    if deadline_ms is None:
+        return model, inputs, -1.0
+    if type(deadline_ms) not in (int, float) or not math.isfinite(deadline_ms):
+        raise ShapeError(f"deadline_ms must be a number, not {deadline_ms!r}")
+    return model, inputs, deadline_ms / 1e3
 
-    server: "ServeHTTPServer"
+
+class _Handler(BaseHTTPRequestHandler):
+    """One request; everything that differs hangs off the server."""
+
+    server: "HTTPFrontend"
     protocol_version = "HTTP/1.1"
 
     # -- plumbing ------------------------------------------------------------
@@ -100,64 +132,47 @@ class _Handler(BaseHTTPRequestHandler):
         if self.server.verbose:
             super().log_message(fmt, *args)
 
-    def _send_json(
-        self,
-        status: int,
-        payload: dict | list,
-        extra_headers: dict[str, str] | None = None,
-    ) -> None:
-        body = json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        echo = getattr(self, "_trace_echo", None)
-        if echo:  # traced request: hand the ids back to the caller
-            self.send_header(trace.TRACE_HEADER, echo)
-        for name, value in (extra_headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+    def _send_json(self, status: int, payload, headers=None) -> None:
+        body = json.dumps(payload)
+        self._send_text(status, body, "application/json", headers)
 
-    def _send_text(self, status: int, body: str, content_type: str) -> None:
+    def _send_text(self, status, body: str, content_type, headers=None):
         data = body.encode()
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(data)))
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(data)
 
-    def _send_error_json(self, status: int, error: Exception) -> None:
-        headers = None
+    def _send_error(
+        self, error: Exception, headers: dict[str, str] | None = None
+    ) -> None:
+        headers = dict(headers or {})
         retry_after_s = getattr(error, "retry_after_s", None)
         if retry_after_s is not None:
             # Retry-After is integer seconds by spec; ceil so a client
             # honouring only the standard header never retries early.
-            headers = {
-                "Retry-After": str(max(0, math.ceil(retry_after_s))),
-                "X-Retry-After-Ms": f"{retry_after_s * 1e3:.3f}",
-            }
+            headers["Retry-After"] = str(max(0, math.ceil(retry_after_s)))
+            headers["X-Retry-After-Ms"] = f"{retry_after_s * 1e3:.3f}"
         self._send_json(
-            status,
+            status_for(error),
             {"error": type(error).__name__, "detail": str(error)},
-            extra_headers=headers,
+            headers,
         )
 
     # -- routes --------------------------------------------------------------
 
     def do_GET(self):  # noqa: N802 - stdlib casing
-        service = self.server.service
+        server = self.server
         parsed = urllib.parse.urlsplit(self.path)
         if parsed.path == "/healthz":
-            status = "draining" if self.server.draining else "ok"
-            self._send_json(
-                200, {"status": status, "models": service.registry.names()}
-            )
+            self._send_json(200, server.health())
         elif parsed.path == "/stats":
-            self._send_json(200, service.stats())
+            self._send_json(200, server.stats())
         elif parsed.path == "/metrics":
-            body = render_prometheus(
-                extra_families=slo_families(service.slo_snapshots())
-            )
+            body = render_prometheus(extra_families=server.metric_families())
             self._send_text(
                 200, body, "text/plain; version=0.0.4; charset=utf-8"
             )
@@ -173,7 +188,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(
                 200,
                 {
-                    "traces": trace.recent_traces(limit=limit),
+                    "traces": server.traces(limit),
                     "epoch_wall": obs.get_registry().epoch_wall,
                 },
             )
@@ -196,70 +211,100 @@ class _Handler(BaseHTTPRequestHandler):
         return None
 
     def do_POST(self):  # noqa: N802 - stdlib casing
+        server = self.server
+        length = self.headers.get("Content-Length", "0")
+        if not length.isdecimal():  # reading to EOF would block: hang up
+            error = ShapeError(f"bad Content-Length {length!r}")
+            self._send_error(error, {"Connection": "close"})
+            return
+        body = self.rfile.read(int(length))
         if self.path != "/predict":
             self._send_json(404, {"error": "NotFound", "detail": self.path})
             return
-        if self.server.draining:
-            # Read (and discard) the body so HTTP/1.1 keep-alive framing
-            # stays intact, then shed: in-flight work finishes, new work
-            # belongs on another replica.
-            length = int(self.headers.get("Content-Length", 0))
-            if length:
-                self.rfile.read(length)
-            error = ServiceDrainingError(
-                "server is draining; retry against another replica",
-                retry_after_s=self.server.drain_retry_after_s,
-            )
-            self._send_error_json(status_for(error), error)
-            return
+        echo = None
         try:
-            length = int(self.headers.get("Content-Length", 0))
-            request = json.loads(self.rfile.read(length) or b"{}")
-            model = request["model"]
-            inputs = np.asarray(request["inputs"], dtype=np.float32)
-            deadline_ms = request.get("deadline_ms")
-            deadline_s = -1.0 if deadline_ms is None else deadline_ms / 1e3
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as err:
-            self._send_error_json(400, err)
-            return
-        service = self.server.service
-        ctx = self._request_trace()
-        self._trace_echo = ctx.to_header() if ctx is not None else None
-        try:
-            entry = service.registry.get(model)
-            if ctx is None:
-                self._predict(service, entry, model, inputs, deadline_s)
-            else:
-                samples = (
-                    1
-                    if inputs.shape == entry.input_shape
-                    else int(inputs.shape[0]) if inputs.ndim else 0
+            model, inputs, deadline_s = _parse_predict(body)
+            shape = server.input_shape(model)
+            if shape not in (inputs.shape, inputs.shape[1:]):
+                raise ShapeError(
+                    f"inputs shape {inputs.shape} matches neither sample "
+                    f"shape {shape} nor a batch of it"
                 )
+            ctx = self._request_trace()
+            if ctx is None:
+                result = server.predict(model, inputs, deadline_s, body)
+            else:
+                echo = {trace.TRACE_HEADER: ctx.to_header()}
+                samples = 1 if inputs.shape == shape else len(inputs)
                 with trace.scope(ctx), obs.span(
-                    "serve.request", model=model, samples=samples
+                    f"{server.kind}.request", model=model, samples=samples
                 ):
-                    self._predict(service, entry, model, inputs, deadline_s)
+                    result = server.predict(model, inputs, deadline_s, body)
         except ReproError as err:
-            self._send_error_json(status_for(err), err)
-
-    def _predict(self, service, entry, model, inputs, deadline_s) -> None:
-        if inputs.shape == entry.input_shape:
-            result = service.predict(model, inputs, deadline_s)
-            self._send_json(200, result.to_dict())
-        elif inputs.shape[1:] == entry.input_shape:
-            results = service.predict_many(model, inputs, deadline_s)
-            self._send_json(200, [r.to_dict() for r in results])
-        else:
-            raise ShapeError(
-                f"inputs shape {inputs.shape} matches neither sample "
-                f"shape {entry.input_shape} nor a batch of it"
-            )
+            self._send_error(err, echo)
+            return
+        self._send_json(200, result, echo)
 
 
-class ServeHTTPServer(ThreadingHTTPServer):
-    """Threading HTTP server bound to one :class:`InferenceService`."""
+class HTTPFrontend(ThreadingHTTPServer):
+    """Threading HTTP server behind the shared :class:`_Handler`, which
+    validates every request before a hook sees it."""
 
     daemon_threads = True
+    #: Prefix of the root span (``<kind>.request``) and of the thread
+    #: :meth:`serve_background` starts (``<kind>-http``).
+    kind: str
+
+    def __init__(self, address, verbose: bool, trace_sample: int):
+        super().__init__(address, _Handler)
+        self.verbose = verbose
+        self.trace_sample = trace_sample
+        #: Headerless-request counter driving ambient trace sampling
+        #: (itertools.count is atomic under CPython — no lock needed).
+        self.request_seq = itertools.count()
+
+    @property
+    def port(self) -> int:
+        return self.server_address[1]
+
+    def serve_background(self) -> threading.Thread:
+        """Run :meth:`serve_forever` on a daemon thread (tests, CLI)."""
+        thread = threading.Thread(
+            target=self.serve_forever, name=f"{self.kind}-http", daemon=True
+        )
+        thread.start()
+        return thread
+
+    # -- hooks: what differs between frontends -------------------------------
+
+    def health(self) -> dict:  # the /healthz payload
+        raise NotImplementedError
+
+    def stats(self) -> dict:  # the /stats payload
+        raise NotImplementedError
+
+    def metric_families(self) -> dict:  # added to the obs registry's
+        raise NotImplementedError
+
+    def traces(self, limit: int) -> list[dict]:  # /tracez, newest first
+        raise NotImplementedError
+
+    def input_shape(self, model: str) -> tuple[int, ...]:
+        """One sample's shape; raises :class:`UnknownModelError`."""
+        raise NotImplementedError
+
+    def predict(
+        self, model: str, inputs: np.ndarray, deadline_s: float, body: bytes
+    ) -> dict | list:
+        """Answer a validated request (``body`` is its raw bytes)."""
+        raise NotImplementedError
+
+
+class ServeHTTPServer(HTTPFrontend):
+    """The frontend bound to one :class:`InferenceService`."""
+
+    kind = "serve"
+    service: InferenceService
 
     def __init__(
         self,
@@ -268,34 +313,47 @@ class ServeHTTPServer(ThreadingHTTPServer):
         verbose=False,
         trace_sample: int = DEFAULT_TRACE_SAMPLE,
     ):
-        super().__init__(address, _Handler)
+        super().__init__(address, verbose, trace_sample)
         self.service = service
-        self.verbose = verbose
-        self.trace_sample = trace_sample
-        #: Headerless-request counter driving ambient trace sampling
-        #: (itertools.count is atomic under CPython — no lock needed).
-        self.request_seq = itertools.count()
-        #: Set once drain starts; handlers shed /predict with 503 while
-        #: GET endpoints stay live so health checks observe the drain.
+        #: Set once drain starts; /predict is shed with 503 while GET
+        #: endpoints stay live so health checks observe the drain.
         self._draining = threading.Event()
         #: Retry-After hint handed to shed requests during drain.
         self.drain_retry_after_s = 1.0
 
     @property
-    def port(self) -> int:
-        return self.server_address[1]
-
-    @property
     def draining(self) -> bool:
         return self._draining.is_set()
 
-    def serve_background(self) -> threading.Thread:
-        """Run :meth:`serve_forever` on a daemon thread (tests, CLI)."""
-        thread = threading.Thread(
-            target=self.serve_forever, name="serve-http", daemon=True
-        )
-        thread.start()
-        return thread
+    def health(self) -> dict:
+        return {
+            "status": "draining" if self.draining else "ok",
+            "models": self.service.registry.names(),
+        }
+
+    def stats(self) -> dict:
+        return self.service.stats()
+
+    def metric_families(self) -> dict:
+        return slo_families(self.service.slo_snapshots())
+
+    def traces(self, limit: int) -> list[dict]:
+        return trace.recent_traces(limit=limit)
+
+    def input_shape(self, model: str) -> tuple[int, ...]:
+        return self.service.registry.get(model).input_shape
+
+    def predict(self, model, inputs, deadline_s, body):
+        if self.draining:
+            # In-flight work finishes; new work belongs on another replica.
+            raise ServiceDrainingError(
+                "server is draining; retry against another replica",
+                retry_after_s=self.drain_retry_after_s,
+            )
+        if inputs.shape == self.input_shape(model):
+            return self.service.predict(model, inputs, deadline_s).to_dict()
+        results = self.service.predict_many(model, inputs, deadline_s)
+        return [r.to_dict() for r in results]
 
     def drain(self, timeout_s: float = 30.0, poll_s: float = 0.02) -> bool:
         """Graceful drain: stop accepting, let admitted work finish.

@@ -4,12 +4,14 @@ router end to end.
 The pure pieces (rendezvous hashing, virtual-time WFQ, health scoring)
 are tested sleep-free with fake clocks. The end-to-end section boots
 one real cluster — two replica processes behind the router — once per
-module and drives it over HTTP, including the two-hop trace-propagation
-contract (client → router → replica merges into one trace with
-distinct process rows) and the kill-a-replica/warm-migration recovery
-path.
+module and drives it over HTTP, including the edge validation both
+frontends share (run against the router and a serve frontend over the
+same models), the two-hop trace-propagation contract (client → router
+→ replica merges into one trace with distinct process rows) and the
+kill-a-replica/warm-migration recovery path.
 """
 
+import http.client
 import json
 import threading
 import time
@@ -19,7 +21,7 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro import cluster, obs
+from repro import cluster, obs, serve
 from repro.cluster.health import HealthPolicy, ReplicaHealth
 from repro.cluster.placement import PlacementRing
 from repro.cluster.wfq import FIFOQueue, WeightedFairQueue, make_scheduler
@@ -274,6 +276,21 @@ def cluster_stack():
     manager.stop()
 
 
+@pytest.fixture(scope="module")
+def serve_stack():
+    """A serve frontend over the cluster's two models, in process."""
+    registry = serve.ModelRegistry()
+    for name, seed in (("alpha", 1), ("beta", 2)):
+        model, shape = fixed_service_model(service_ms=5, seed=seed)
+        registry.register(name, model, input_shape=shape, warm=False)
+    service = serve.InferenceService(registry).start()
+    server = serve.make_server(service, trace_sample=0)
+    server.serve_background()
+    yield server
+    server.shutdown()
+    service.stop()
+
+
 def _post(url, model, timeout=30):
     body = json.dumps(
         {"model": model, "inputs": [0.1] * 8}
@@ -285,6 +302,101 @@ def _post(url, model, timeout=30):
     )
     with urllib.request.urlopen(request, timeout=timeout) as response:
         return json.loads(response.read())
+
+
+def _raw_post(port, body, length=None):
+    """POST ``body`` to /predict with a chosen Content-Length header;
+    returns ``(status, decoded JSON body)``."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+    try:
+        conn.putrequest("POST", "/predict")
+        conn.putheader("Content-Type", "application/json")
+        conn.putheader(
+            "Content-Length", str(len(body)) if length is None else length
+        )
+        conn.endheaders(body)
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
+
+
+def _behind(server):
+    """``(batches run, proxy attempts, breaker snapshots)`` behind a
+    frontend: the serve service's, or every replica's plus the router's
+    per-replica breakers."""
+    if isinstance(server, serve.ServeHTTPServer):
+        stats, proxied, breakers = [server.service.stats()], 0, []
+    else:
+        manager = server.router.manager
+        stats = [
+            HTTPClient(endpoint).stats()
+            for endpoint in manager.endpoints().values()
+            if endpoint is not None
+        ]
+        proxied = server.router.stats()["requests"]["proxied"]
+        breakers = [
+            manager.health(rid).snapshot()["breaker"]
+            for rid in manager.ring.members()
+        ]
+    for s in stats:
+        breakers += s["resilience"]["breakers"].values()
+    tasks = sum(s["resilience"]["backend"]["tasks"] for s in stats)
+    return tasks, proxied, breakers
+
+
+def _body(**fields):
+    fields = {"model": "alpha", "inputs": [0.1] * 8, **fields}
+    return json.dumps(fields).encode()
+
+
+#: case -> (body, Content-Length header or None for the true length,
+#: expected status, expected error name).
+EDGE_CASES = {
+    "nan": (b'{"model": "alpha", "inputs": [NaN, 0, 0, 0, 0, 0, 0, 0]}',
+            None, 400, "ShapeError"),
+    "infinity": (b'{"model": "alpha", "inputs": [0, 0, 0, 0, 0, 0, 0, '
+                 b'-Infinity]}', None, 400, "ShapeError"),
+    "float32-overflow": (_body(inputs=[1e39] * 8), None, 400, "ShapeError"),
+    "model-not-a-string": (_body(model=["alpha"]), None, 400, "ShapeError"),
+    "missing-model": (b'{"inputs": [0, 0, 0, 0, 0, 0, 0, 0]}',
+                      None, 400, "ShapeError"),
+    "unknown-model": (_body(model="ghost"), None, 404, "UnknownModelError"),
+    "negative-content-length": (_body(), "-1", 400, "ShapeError"),
+    "non-integer-content-length": (_body(), "eight", 400, "ShapeError"),
+    "not-json": (b'{"model": "alpha", ', None, 400, "ShapeError"),
+    "inputs-not-numeric": (_body(inputs=["a"] * 8), None, 400, "ShapeError"),
+    "wrong-shape": (_body(inputs=[0.1] * 7), None, 400, "ShapeError"),
+    "deadline-not-a-number": (_body(deadline_ms="soon"),
+                              None, 400, "ShapeError"),
+}
+
+
+class TestEdgeValidation:
+    @pytest.mark.parametrize("case", sorted(EDGE_CASES))
+    @pytest.mark.parametrize("frontend", ["serve", "router"])
+    def test_malformed_request_rejected_before_queueing(
+        self, frontend, case, request
+    ):
+        """Both frontends share one handler: each malformed request gets
+        its typed 4xx, nothing runs or is proxied, no breaker moves, and
+        the next well-formed request is served."""
+        server = (
+            request.getfixturevalue("serve_stack")
+            if frontend == "serve"
+            else request.getfixturevalue("cluster_stack")["server"]
+        )
+        body, length, status, error = EDGE_CASES[case]
+        tasks, proxied, _ = _behind(server)
+        answer = _raw_post(server.port, body, length)
+        assert (answer[0], answer[1]["error"]) == (status, error)
+        after_tasks, after_proxied, breakers = _behind(server)
+        assert (after_tasks, after_proxied) == (tasks, proxied)
+        for breaker in breakers:
+            assert breaker["state"] == "closed"
+            assert breaker["consecutive_failures"] == 0
+        status, payload = _raw_post(server.port, _body())
+        assert status == 200 and len(payload["outputs"]) == 4
 
 
 class TestClusterEndToEnd:
@@ -392,6 +504,9 @@ class TestClusterEndToEnd:
         assert excinfo.value.retry_after_s is not None
         assert idle.scheduler.depth("beta") == 0
         idle.submit("beta", body)  # other models unaffected
+        with pytest.raises(UnknownModelError):  # never reaches the WFQ
+            idle.submit("ghost", body)
+        assert idle.scheduler.depth() == 3
         idle.scheduler.close()
 
     def test_kill_primary_replica_zero_loss_and_warm_migration(
@@ -404,8 +519,9 @@ class TestClusterEndToEnd:
         router = cluster_stack["router"]
         victim = manager.placement("alpha")[0]
         migrations_before = manager._migrations.value
-        # Router stats are cumulative across the module (the 404 test
-        # above counts as one failed request); assert no *new* failures.
+        # Router stats are cumulative across the module; requests the
+        # edge rejects (the 404 test above) are never admitted, so they
+        # count as neither accepted nor failed. Assert no *new* failures.
         failed_before = router.stats()["requests"]["failed"]
         results = {"ok": 0, "fail": 0}
         lock = threading.Lock()

@@ -10,6 +10,7 @@ statically computed lock-order graph.
 import json
 import subprocess
 import sys
+import textwrap
 import time
 from pathlib import Path
 
@@ -91,6 +92,48 @@ def test_thread_entries_detected():
     reachable = program.thread_reachable()
     assert "race_bad.SharedCounter.tick" in reachable
     assert "race_bad.SharedCounter._bump_locked" in reachable
+
+
+def test_call_on_base_class_reaches_subclass_overrides(tmp_path):
+    (tmp_path / "hooks.py").write_text(textwrap.dedent(
+        """
+        from http.server import BaseHTTPRequestHandler
+
+        class Frontend:
+            def predict(self):
+                raise NotImplementedError
+
+        class Replica(Frontend):
+            def predict(self):
+                return replica_work()
+
+        class Router(Replica):
+            def predict(self):
+                return 1
+
+        class Unrelated:
+            def predict(self):
+                return 2
+
+        def replica_work():
+            return 0
+
+        class Handler(BaseHTTPRequestHandler):
+            server: Frontend
+
+            def do_POST(self):
+                self.server.predict()
+        """
+    ))
+    program = build_program(build_symbol_table([str(tmp_path)]))
+    reachable = program.thread_reachable()
+    assert {
+        "hooks.Frontend.predict",
+        "hooks.Replica.predict",
+        "hooks.Router.predict",  # an override two levels down
+        "hooks.replica_work",
+    } <= reachable
+    assert "hooks.Unrelated.predict" not in reachable
 
 
 def test_may_acquire_crosses_calls():

@@ -18,6 +18,7 @@ from repro.errors import (
     DeadlineExceededError,
     QueueFullError,
     ServeError,
+    ServiceDrainingError,
     ShapeError,
     UnknownModelError,
     WorkerCrashError,
@@ -516,13 +517,67 @@ class TestHTTPServer:
 
             with pytest.raises(UnknownModelError):
                 client.predict("ghost", x)
+            with pytest.raises(ShapeError):
+                client.predict("fp", x[:7])
 
             stats = client.stats()
             assert stats["requests"]["accepted"] == 4
             assert stats["accounting"]["balanced"]
+
+            # Every entry of the protocol's error table comes back as
+            # its own class, with its status and any retry hint.
+            def failing(error):
+                def fail(*args):
+                    raise error
+
+                return fail
+
+            for kind, status in serve.server.STATUS_FOR:
+                error = kind("injected")
+                if hasattr(error, "retry_after_s"):
+                    error.retry_after_s = 0.25
+                assert serve.status_for(error) == status
+                server.predict = failing(error)
+                with pytest.raises(kind) as excinfo:
+                    client.predict("fp", x)
+                assert type(excinfo.value) is kind
+                assert getattr(excinfo.value, "retry_after_s", 0.25) == (
+                    pytest.approx(0.25)
+                )
+            server.predict = failing(WorkerCrashError("not in the table"))
+            with pytest.raises(ServeError) as excinfo:
+                client.predict("fp", x)  # 500: the base class
+            assert type(excinfo.value) is ServeError
         finally:
             server.shutdown()
             service.stop()
+
+    @pytest.mark.parametrize(
+        "status, body, expected",
+        [
+            (503, b"", CircuitOpenError),  # the first 503 listed
+            (400, b"not json", ShapeError),
+            (503, b'{"error": "ServiceDrainingError"}', ServiceDrainingError),
+            (429, b'{"error": "NoSuchError"}', QueueFullError),
+            (500, b'{"error": "KeyError"}', ServeError),
+        ],
+    )
+    def test_error_decoder_prefers_name_then_status(
+        self, status, body, expected
+    ):
+        import io
+        import urllib.error
+        from email.message import Message
+
+        headers = Message()
+        headers["Retry-After"] = "2"
+        err = urllib.error.HTTPError(
+            "http://x/predict", status, "reason", headers, io.BytesIO(body)
+        )
+        error = serve.client.error_from_http(err)
+        assert type(error) is expected
+        if hasattr(error, "retry_after_s"):
+            assert error.retry_after_s == 2.0
 
     def test_http_429_sends_retry_after_headers(self):
         """Queue-full over HTTP: 429 plus both backoff headers, and the
@@ -703,6 +758,26 @@ class TestGracefulDrain:
             assert err.headers["X-Retry-After-Ms"] is not None
             payload = json_module.loads(err.read())
             assert payload["error"] == "ServiceDrainingError"
+            with pytest.raises(ServiceDrainingError) as excinfo:
+                serve.HTTPClient(url).predict("fp", np.zeros(8, np.float32))
+            assert excinfo.value.retry_after_s == pytest.approx(1.0)
+            assert isinstance(excinfo.value, serve.client.BACKPRESSURE)
+
+            # A body whose length cannot be read is a 400 that closes
+            # the connection, draining or not.
+            import http.client
+
+            conn = http.client.HTTPConnection(
+                "127.0.0.1", server.port, timeout=5
+            )
+            conn.putrequest("POST", "/predict")
+            conn.putheader("Content-Length", "eight")
+            conn.endheaders(body)
+            response = conn.getresponse()
+            assert response.status == 400
+            assert response.getheader("Connection") == "close"
+            assert json_module.loads(response.read())["error"] == "ShapeError"
+            conn.close()
 
             # Keep-alive framing survived the shed: the same socket
             # path still answers GETs.
