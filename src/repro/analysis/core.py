@@ -198,6 +198,72 @@ def parse_file(path: Path) -> FileContext:
     return FileContext(path, source, tree)
 
 
+# -- shared AST helpers -------------------------------------------------------
+
+
+def import_aliases(tree: ast.Module) -> dict[str, str]:
+    """Map local names to the dotted module/object paths they bind.
+
+    ``import numpy as np`` -> ``{"np": "numpy"}``;
+    ``from datetime import datetime as dt`` -> ``{"dt": "datetime.datetime"}``.
+    """
+    aliases: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                local = alias.asname or alias.name.split(".")[0]
+                full = alias.name if alias.asname else alias.name.split(".")[0]
+                aliases[local] = full
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            for alias in node.names:
+                if alias.name == "*":
+                    continue
+                local = alias.asname or alias.name
+                aliases[local] = f"{node.module}.{alias.name}"
+    return aliases
+
+
+def dotted_name(node: ast.AST) -> str | None:
+    """``a.b.c`` for a Name/Attribute chain, else ``None``."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    parts.append(node.id)
+    return ".".join(reversed(parts))
+
+
+def resolve_dotted(name: str, aliases: dict[str, str]) -> str:
+    """``name`` with its head resolved through ``aliases``."""
+    head, _, rest = name.partition(".")
+    full_head = aliases.get(head, head)
+    return f"{full_head}.{rest}" if rest else full_head
+
+
+def call_path(node: ast.Call, aliases: dict[str, str]) -> str | None:
+    """Fully-qualified dotted path of a call target, through aliases."""
+    name = dotted_name(node.func)
+    if name is None:
+        return None
+    return resolve_dotted(name, aliases)
+
+
+def child_bodies(stmt: ast.stmt) -> list[list[ast.stmt]]:
+    """The statement blocks nested directly in a compound statement."""
+    bodies = []
+    for attr in ("body", "orelse", "finalbody"):
+        block = getattr(stmt, attr, None)
+        if isinstance(block, list) and block:
+            bodies.append(block)
+    for handler in getattr(stmt, "handlers", []) or []:
+        bodies.append(handler.body)
+    for case in getattr(stmt, "cases", []) or []:
+        bodies.append(case.body)
+    return bodies
+
+
 def run_paths(
     paths: Iterable[str | Path],
     select: Iterable[str] | None = None,

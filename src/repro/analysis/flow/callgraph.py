@@ -38,14 +38,13 @@ import ast
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from repro.analysis.core import child_bodies, dotted_name, resolve_dotted
 from repro.analysis.flow.symbols import (
     ClassInfo,
     FunctionInfo,
     LockKey,
     ModuleInfo,
     SymbolTable,
-    dotted,
-    resolve_dotted,
     _annotation_name,
 )
 
@@ -343,7 +342,7 @@ class _SummaryWalker:
                     method = self.table.method_on(cls, node.attr)
                     if method is not None:
                         return method.qualname
-            path = dotted(node)
+            path = dotted_name(node)
             if path is not None:
                 fn, _cls = self._resolve_qualified(
                     resolve_dotted(path, self.module.aliases)
@@ -405,7 +404,7 @@ class _SummaryWalker:
                     return self._Resolved(
                         external=f"{base_type}.{func.attr}"
                     )
-            path = dotted(func)
+            path = dotted_name(func)
             if path is not None:
                 resolved = resolve_dotted(path, self.module.aliases)
                 fn, cls = self._resolve_qualified(resolved)
@@ -480,29 +479,16 @@ class _SummaryWalker:
                         inner.add(key)
                 self._walk(stmt.body, frozenset(inner))
                 continue
-            child_bodies = self._child_bodies(stmt)
-            if child_bodies:
+            blocks = child_bodies(stmt)
+            if blocks:
                 for child in ast.iter_child_nodes(stmt):
                     if isinstance(child, ast.expr):
                         self._scan_expr(child, held)
-                for block in child_bodies:
+                for block in blocks:
                     self._walk(block, held)
             else:
                 self._scan_expr(stmt, held)
             self._track_assignment(stmt)
-
-    @staticmethod
-    def _child_bodies(stmt) -> list:
-        bodies = []
-        for attr in ("body", "orelse", "finalbody"):
-            block = getattr(stmt, attr, None)
-            if isinstance(block, list) and block:
-                bodies.append(block)
-        for handler in getattr(stmt, "handlers", []) or []:
-            bodies.append(handler.body)
-        for case in getattr(stmt, "cases", []) or []:
-            bodies.append(case.body)
-        return bodies
 
     def _track_assignment(self, stmt) -> None:
         if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:

@@ -31,7 +31,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from repro.analysis.core import FileContext, iter_python_files
+from repro.analysis.core import (
+    FileContext,
+    call_path,
+    dotted_name,
+    import_aliases,
+    iter_python_files,
+    resolve_dotted,
+)
 
 #: threading factories that allocate a watchable lock at their call
 #: site. ``Condition()`` allocates its inner RLock through the patched
@@ -224,51 +231,6 @@ class SymbolTable:
 # -- collection ---------------------------------------------------------------
 
 
-def _import_aliases(tree: ast.Module) -> dict[str, str]:
-    # Local copy of rules.import_aliases (kept independent so flow does
-    # not import the per-file rules at build time).
-    aliases: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                local = alias.asname or alias.name.split(".")[0]
-                full = alias.name if alias.asname else alias.name.split(".")[0]
-                aliases[local] = full
-        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                local = alias.asname or alias.name
-                aliases[local] = f"{node.module}.{alias.name}"
-    return aliases
-
-
-def dotted(node: ast.AST) -> str | None:
-    """``a.b.c`` for a Name/Attribute chain, else None."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
-
-
-def resolve_dotted(name: str, aliases: dict[str, str]) -> str:
-    head, _, rest = name.partition(".")
-    full_head = aliases.get(head, head)
-    return f"{full_head}.{rest}" if rest else full_head
-
-
-def call_path(node: ast.Call, aliases: dict[str, str]) -> str | None:
-    """Fully-qualified dotted path of a call target, through aliases."""
-    name = dotted(node.func)
-    if name is None:
-        return None
-    return resolve_dotted(name, aliases)
-
-
 def _lock_factory_kind(value: ast.AST, aliases: dict[str, str]) -> str | None:
     """Lock kind when ``value`` is a lock-allocating expression."""
     if not isinstance(value, ast.Call):
@@ -280,7 +242,7 @@ def _lock_factory_kind(value: ast.AST, aliases: dict[str, str]) -> str | None:
     if path is not None and path.rsplit(".", 1)[-1] == "field":
         for kw in value.keywords:
             if kw.arg == "default_factory":
-                target = dotted(kw.value)
+                target = dotted_name(kw.value)
                 if target is not None:
                     resolved = resolve_dotted(target, aliases)
                     if resolved in _LOCK_FACTORIES:
@@ -303,10 +265,10 @@ def _annotation_name(node: ast.AST | None) -> str | None:
             return None
         return text or None
     if isinstance(node, ast.Subscript):
-        base = dotted(node.value)
+        base = dotted_name(node.value)
         if base is not None and base.rsplit(".", 1)[-1] in ("Optional",):
             if isinstance(node.slice, (ast.Name, ast.Attribute)):
-                return dotted(node.slice)
+                return dotted_name(node.slice)
         return None
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
         # X | None
@@ -314,7 +276,7 @@ def _annotation_name(node: ast.AST | None) -> str | None:
         if left not in (None, "None"):
             return left
         return _annotation_name(node.right)
-    return dotted(node)
+    return dotted_name(node)
 
 
 class _Collector(ast.NodeVisitor):
@@ -336,7 +298,7 @@ class _Collector(ast.NodeVisitor):
             name=node.name,
             node=node,
             path=self.module.path,
-            bases=[d for d in (dotted(b) for b in node.bases) if d],
+            bases=[d for d in (dotted_name(b) for b in node.bases) if d],
         )
         self.module.classes[node.name] = info
         self.table.classes[qualname] = info
@@ -456,7 +418,7 @@ class _Collector(ast.NodeVisitor):
                 continue
             # attribute type inference: self.x = ClassName(...)
             if isinstance(node.value, ast.Call):
-                name = dotted(node.value.func)
+                name = dotted_name(node.value.func)
                 if name is not None:
                     cls.attr_types.setdefault(attr, name)
 
@@ -509,7 +471,7 @@ def build_symbol_table(
             name=module_name_for(path),
             path=key,
             ctx=ctx,
-            aliases=_import_aliases(ctx.tree),
+            aliases=import_aliases(ctx.tree),
         )
         table.modules[module.name] = module
         _collect_module_locks(table, module)

@@ -32,9 +32,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.core import Finding
+from repro.analysis.core import Finding, call_path
 from repro.analysis.flow.callgraph import FlowProgram
-from repro.analysis.flow.symbols import FunctionInfo, call_path
+from repro.analysis.flow.symbols import FunctionInfo
 
 CODE = "RPR103"
 NAME = "determinism-taint"

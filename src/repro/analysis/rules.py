@@ -32,54 +32,16 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.core import FileContext, Finding, Rule, register
-
-# -- shared AST helpers -------------------------------------------------------
-
-
-def import_aliases(tree: ast.Module) -> dict[str, str]:
-    """Map local names to the dotted module/object paths they bind.
-
-    ``import numpy as np`` -> ``{"np": "numpy"}``;
-    ``from datetime import datetime as dt`` -> ``{"dt": "datetime.datetime"}``.
-    """
-    aliases: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                local = alias.asname or alias.name.split(".")[0]
-                full = alias.name if alias.asname else alias.name.split(".")[0]
-                aliases[local] = full
-        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                local = alias.asname or alias.name
-                aliases[local] = f"{node.module}.{alias.name}"
-    return aliases
-
-
-def dotted_name(node: ast.AST) -> str | None:
-    """``a.b.c`` for a Name/Attribute chain, else ``None``."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
-
-
-def resolve_call_path(node: ast.Call, aliases: dict[str, str]) -> str | None:
-    """Fully-qualified dotted path of a call target, through aliases."""
-    name = dotted_name(node.func)
-    if name is None:
-        return None
-    head, _, rest = name.partition(".")
-    full_head = aliases.get(head, head)
-    return f"{full_head}.{rest}" if rest else full_head
-
+from repro.analysis.core import (
+    FileContext,
+    Finding,
+    Rule,
+    call_path,
+    child_bodies,
+    dotted_name,
+    import_aliases,
+    register,
+)
 
 # -- RPR001: unseeded randomness ----------------------------------------------
 
@@ -115,7 +77,7 @@ class UnseededRandomness(Rule):
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            path = resolve_call_path(node, aliases)
+            path = call_path(node, aliases)
             if path is None:
                 continue
             if path.startswith("numpy.random."):
@@ -205,7 +167,7 @@ class WallClockRead(Rule):
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            path = resolve_call_path(node, aliases)
+            path = call_path(node, aliases)
             if path in _WALL_CLOCK:
                 yield self.finding(
                     ctx,
@@ -327,7 +289,7 @@ class _GuardWalker:
                     self._check_expr(item.context_expr, held)
                 self.walk(stmt.body, frozenset(inner))
                 continue
-            has_blocks = bool(self._child_bodies(stmt))
+            has_blocks = bool(child_bodies(stmt))
             if has_blocks:
                 # Compound statement (if/for/while/try/match): check its
                 # own header expressions here, recurse into the blocks
@@ -335,23 +297,10 @@ class _GuardWalker:
                 for child in ast.iter_child_nodes(stmt):
                     if isinstance(child, ast.expr):
                         self._check_expr(child, held)
-                for child_body in self._child_bodies(stmt):
+                for child_body in child_bodies(stmt):
                     self.walk(child_body, held)
             else:
                 self._check_expr(stmt, held)
-
-    @staticmethod
-    def _child_bodies(stmt: ast.stmt) -> list[list[ast.stmt]]:
-        bodies = []
-        for attr in ("body", "orelse", "finalbody"):
-            block = getattr(stmt, attr, None)
-            if isinstance(block, list) and block:
-                bodies.append(block)
-        for handler in getattr(stmt, "handlers", []) or []:
-            bodies.append(handler.body)
-        for case in getattr(stmt, "cases", []) or []:
-            bodies.append(case.body)
-        return bodies
 
     def _check_expr(self, root: ast.AST, held: frozenset[str]) -> None:
         """Check every mutation site in an expression/simple statement."""
@@ -773,7 +722,7 @@ class NonAtomicStateWrite(Rule):
         for sub in ast.walk(fn):
             if not isinstance(sub, ast.Call):
                 continue
-            path = resolve_call_path(sub, aliases)
+            path = call_path(sub, aliases)
             if path is not None:
                 if path.startswith(_ATOMIC_WRITERS_PREFIX):
                     compliant = True

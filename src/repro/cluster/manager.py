@@ -44,6 +44,9 @@ __all__ = ["ClusterModel", "ReplicaManager"]
 _READY = "ready"
 _PONG = "pong"
 
+#: Longest wait for every replica to build, warm, and report its port.
+_SPAWN_TIMEOUT_S = 60.0
+
 
 @dataclass(frozen=True)
 class ClusterModel:
@@ -174,7 +177,6 @@ class ReplicaManager:
         health: "HealthPolicy | None" = None,
         host: str = "127.0.0.1",
         trace_sample: int = 0,
-        spawn_timeout_s: float = 60.0,
     ):
         if num_replicas < 1:
             raise ValueError(
@@ -186,7 +188,6 @@ class ReplicaManager:
         self.health_policy = health or HealthPolicy()
         self.host = host
         self.trace_sample = trace_sample
-        self.spawn_timeout_s = spawn_timeout_s
         self.ring = PlacementRing(
             members=[f"r{i}" for i in range(num_replicas)],
             replication=min(replication, num_replicas),
@@ -286,7 +287,7 @@ class ReplicaManager:
             self._respawned.add(1)
 
     def _wait_all_ready(self) -> None:
-        deadline = time.monotonic() + self.spawn_timeout_s
+        deadline = time.monotonic() + _SPAWN_TIMEOUT_S
         pending = set(self.ring.members())
         while pending and time.monotonic() < deadline:
             for rid in sorted(pending):

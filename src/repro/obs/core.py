@@ -667,6 +667,18 @@ class Registry:
             else:
                 self.profiles.append(record)
 
+    def profile_count(self) -> int:
+        with self._lock:
+            return len(self.profiles)
+
+    def pop_profiles_since(self, start: int) -> list[dict]:
+        """Remove and return every profile recorded at index ``start``
+        onward (see :meth:`pop_spans_since`)."""
+        with self._lock:
+            taken = self.profiles[start:]
+            del self.profiles[start:]
+        return taken
+
     # -- lifecycle -----------------------------------------------------------
 
     def reset(self) -> None:

@@ -9,22 +9,22 @@ result mid-epoch must not lose the run. The contract here is strict:
 * **bit-identical** — a pooled run and an in-process run produce the
   same weights. Each batch ships the model's complete mutable state
   (parameters, buffers, dropout RNG state, simulator call indices) to
-  whichever worker picks it up; the worker runs a training-mode
-  simulated forward under
-  :func:`~repro.scnn.layers.capture_sc_values` and returns each SC
-  layer's bit-true output. The trainer then re-runs the (cheap) FP
-  forward under :func:`~repro.scnn.layers.inject_sc_values`, which
-  substitutes those outputs into the straight-through estimator and
-  advances local RNG cursors exactly as if the simulation had run
-  in-process.
-* **crash-surviving** — a retryable worker failure
-  (:class:`~repro.errors.WorkerCrashError` /
-  :class:`~repro.errors.WorkerTimeoutError` /
-  :class:`~repro.errors.ResultCorruptionError`) re-runs the batch on a
-  healthy worker via :func:`repro.utils.retry.call_with_retry`; because
-  state is re-shipped per batch, a freshly respawned worker is
-  automatically consistent. Determinism makes the retry free: the
-  recomputed result is the result.
+  whichever worker picks it up, through the worker call serving uses
+  too (:meth:`~repro.serve.backend.ProcessPoolBackend.call`). The
+  worker runs this module's training task — a training-mode simulated
+  forward under :func:`~repro.scnn.layers.capture_sc_values` — and
+  returns each SC layer's bit-true output, which the parent checks is
+  finite. The trainer then re-runs the (cheap) FP forward under
+  :func:`~repro.scnn.layers.inject_sc_values`, which substitutes those
+  outputs into the straight-through estimator and advances local RNG
+  cursors exactly as if the simulation had run in-process.
+* **crash-surviving** — a retryable worker failure (any
+  :class:`~repro.errors.ExecutionBackendError`: a crash, a timeout, or
+  a corrupt result) re-runs the batch on a healthy worker via
+  :func:`repro.utils.retry.call_with_retry`; because state is re-shipped
+  per batch, a freshly respawned worker is automatically consistent.
+  Determinism makes the retry free: the recomputed result is the
+  result.
 * **gracefully degrading** — if retries exhaust, the batch falls back
   to in-process simulation (``sc_values`` returns ``None``) and the run
   continues; ``degrade_after`` consecutive exhausted batches retire the
@@ -44,26 +44,45 @@ import threading
 import numpy as np
 
 from repro import obs
-from repro.errors import (
-    ResultCorruptionError,
-    WorkerCrashError,
-    WorkerTimeoutError,
-)
+from repro.errors import ExecutionBackendError, ResultCorruptionError
 from repro.nn.layers import Module
-from repro.scnn.ckpt import rng_state_dict
+from repro.nn.tensor import Tensor, no_grad
+from repro.scnn.ckpt import load_rng_state, rng_state_dict
+from repro.scnn.layers import capture_sc_values
 from repro.utils.chaos import ChaosConfig
 from repro.utils.retry import RetryPolicy, call_with_retry
 
-#: Worker failures worth re-running a minibatch for — recomputation is
-#: deterministic, so a healthy worker's answer *is* the answer.
-RETRYABLE_ERRORS = (
-    WorkerCrashError,
-    WorkerTimeoutError,
-    ResultCorruptionError,
-)
-
 #: Registry name the training model is cached under in pool workers.
 TRAIN_ENTRY_NAME = "__train__"
+
+
+def _train_forward(entry, batch: np.ndarray, state: dict) -> list:
+    """Pool-worker task: one training-mode SC forward.
+
+    Restores the shipped parameter/buffer and derived-RNG ``state``
+    into the worker's cached model, then returns the captured
+    per-SC-layer outputs. Shipping the full state each batch means a
+    freshly respawned worker is automatically consistent — there is no
+    separate weight-sync protocol to get wrong.
+    """
+    model = entry.model
+    model.load_state_dict(state["model"], strict=True)
+    load_rng_state(model, state["rng"])
+    model.train()
+    with no_grad(), capture_sc_values() as values:
+        model(Tensor(np.ascontiguousarray(batch)))
+    return list(values)
+
+
+def _finite(values: list) -> list[np.ndarray]:
+    """Parent-side check of a training task's result."""
+    values = [np.asarray(value) for value in values]
+    for value in values:
+        if not np.isfinite(value).all():
+            raise ResultCorruptionError(
+                "pool worker returned non-finite SC values"
+            )
+    return values
 
 
 class MinibatchPool:
@@ -91,7 +110,6 @@ class MinibatchPool:
         batch_timeout_s: float = 120.0,
         degrade_after: int = 3,
         seed: int = 0,
-        start_method: str | None = None,
     ):
         # Imported here, not at module top: repro.serve pulls in
         # repro.scnn (registry type hints), so a top-level import makes
@@ -127,10 +145,7 @@ class MinibatchPool:
         # One batch is in flight at a time, so each worker may shard its
         # kernels across every CPU.
         self.backend = ProcessPoolBackend(
-            num_workers=num_workers,
-            chaos=chaos,
-            start_method=start_method,
-            busy_workers=1,
+            num_workers=num_workers, chaos=chaos, busy_workers=1
         )
 
     # -- lifecycle -----------------------------------------------------------
@@ -176,18 +191,19 @@ class MinibatchPool:
 
         try:
             values = call_with_retry(
-                lambda: self.backend.run_train(
+                lambda: self.backend.call(
                     self.entry,
-                    batch,
-                    payload,
+                    _train_forward,
+                    (batch, payload),
+                    _finite,
                     timeout_s=self.batch_timeout_s,
                 ),
                 self.retry,
-                retry_on=RETRYABLE_ERRORS,
+                retry_on=(ExecutionBackendError,),
                 rng=self._jitter_rng,
                 on_retry=on_retry,
             )
-        except RETRYABLE_ERRORS:
+        except ExecutionBackendError:
             with self._lock:
                 self._consecutive_failures += 1
                 self.counters["fallbacks"] += 1

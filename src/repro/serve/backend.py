@@ -21,6 +21,13 @@ Two implementations share that contract:
   retry policy re-runs the batch on a healthy worker, so a crashed
   worker costs a retried batch, not a failed request.
 
+Every pool call is one request, :meth:`ProcessPoolBackend.call`: the
+worker runs a module-level ``task(entry, *args)`` against its cached
+:class:`~repro.serve.registry.ModelEntry`. Serving's task runs
+:meth:`ModelEntry.forward`, the same forward and tier flip the
+in-thread backend runs; :class:`repro.scnn.pool.MinibatchPool` sends
+its training forward through the same call.
+
 Worker processes start via ``forkserver`` where available (Linux): the
 fork server imports numpy + repro once, after which each (re)spawn is a
 cheap fork of that clean, thread-free template — crucial for respawn
@@ -62,6 +69,17 @@ __all__ = [
     "ProcessPoolBackend",
     "make_backend",
 ]
+
+#: Supervisor heartbeat period for idle workers, and how long a ping
+#: may go unanswered before the worker is killed.
+_HEARTBEAT_INTERVAL_S = 0.5
+_HEARTBEAT_TIMEOUT_S = 5.0
+#: A worker not ready this long after its spawn is killed.
+_SPAWN_TIMEOUT_S = 120.0
+#: Longest wait for a worker to unpickle a shipped model.
+_LOAD_TIMEOUT_S = 60.0
+#: Longest wait for an idle worker before a call fails as a timeout.
+_ACQUIRE_TIMEOUT_S = 30.0
 
 
 def _validate_logits(
@@ -176,6 +194,24 @@ class InThreadBackend(ExecutionBackend):
 
 # -- process pool -------------------------------------------------------------
 
+#: This process's pool-worker id, stamped on its ``worker.forward``
+#: spans; :func:`_worker_main` sets it once when the worker starts.
+_WORKER_ID = -1
+
+
+def _forward(
+    entry: ModelEntry, batch: np.ndarray, tier: int
+) -> tuple[np.ndarray, int]:
+    """Serving task: :meth:`ModelEntry.forward` at ``tier``."""
+    with obs.span(
+        "worker.forward",
+        model=entry.name,
+        tier=tier,
+        batch=int(batch.shape[0]),
+        worker=_WORKER_ID,
+    ):
+        return entry.forward(batch, tier=tier)
+
 
 def _worker_main(
     conn, worker_id: int, chaos_payload: dict | None, busy_workers: int = 1
@@ -188,43 +224,37 @@ def _worker_main(
     request loop over a private duplex pipe. Messages:
 
     * ``("load", name, model, tiers)`` → ``("loaded", name)`` — cache a
-      model (pickled by the parent) plus its stream-length tier ladder;
-    * ``("run", name, tier, batch)`` → ``("ok", logits, tier)`` or
-      ``("error", exception)`` — flip to the tier, forward, answer;
-    * ``("run", name, tier, batch, trace_payload)`` — the traced
-      variant: the forward runs under the shipped
-      :class:`~repro.obs.trace.TraceContext` and the reply becomes
-      ``("ok", logits, tier, {"spans": [...], "epoch_wall": t})``,
-      carrying this request's worker-side span records (plus this
-      registry's wall-clock epoch so the parent can rebase their
-      timeline) for the parent to merge into its trace. Untraced
-      requests keep the 3-tuple wire format — tracing costs nothing
-      when off;
-    * ``("train", name, batch, state)`` → ``("train_ok", values)`` —
-      the training-forward variant used by
-      :class:`repro.scnn.pool.MinibatchPool`: restore the shipped
-      parameter/buffer state and derived RNG state into the cached
-      model, run one *training-mode* simulated forward under
-      :func:`~repro.scnn.layers.capture_sc_values`, and answer with the
-      captured per-SC-layer outputs. Shipping the full state each batch
-      means a freshly respawned worker is automatically consistent —
-      there is no separate weight-sync protocol to get wrong;
+      model (pickled by the parent) as a :class:`ModelEntry` with its
+      stream-length tier ladder;
+    * ``("call", task, name, args, trace)`` → ``("ok", result, extra)``
+      or ``("error", exception)`` — run the module-level
+      ``task(entry, *args)`` against the named entry. ``trace`` is
+      ``None`` for an untraced call, and ``extra`` is then ``None`` too.
+      Otherwise ``trace`` is a :class:`~repro.obs.trace.TraceContext`
+      dict: the task runs under that context and ``extra`` is
+      ``{"spans": [...], "epoch_wall": t}``, the call's worker-side
+      span records plus this registry's wall-clock epoch, so the parent
+      can rebase their timeline and merge them into its trace;
     * ``("ping", n)`` → ``("pong", n)`` — supervisor heartbeat;
     * ``("stop",)`` / EOF — exit cleanly.
 
     Chaos injection happens *here*, inside the worker, exactly as a real
     fault would: a crash is a hard ``os._exit`` (no goodbye message — the
     parent sees the pipe close), a stall is a sleep while the parent's
-    timeout clock runs, a corruption mangles the payload on the wire.
+    timeout clock runs, a corruption NaN-fills the result's first array
+    on the wire (the logits when serving, the first SC layer's values in
+    training).
     """
-    from repro.nn.tensor import Tensor, no_grad
     from repro.scnn.layers import set_stream_lengths
 
+    global _WORKER_ID
+    _WORKER_ID = worker_id
     parallel.set_busy_siblings(busy_workers)
     chaos = (
         ChaosConfig.from_dict(chaos_payload) if chaos_payload else None
     )
-    models: dict[str, tuple] = {}  # name -> (model, tiers, current_tier)
+    registry = obs.get_registry()
+    entries: dict[str, ModelEntry] = {}
     task_index = 0
     conn.send(("ready", worker_id))
     while True:
@@ -243,104 +273,62 @@ def _worker_main(
             continue
         if kind == "load":
             _, name, model, tiers = message
-            models[name] = [model, tiers, None]
+            # The parent pickled the model on whichever tier its copy
+            # was on; put it on tier 0 so the entry's tier is true and
+            # the first call's tier flip is never skipped.
+            set_stream_lengths(model, **tiers[0])
+            entries[name] = ModelEntry(
+                name=name, model=model, input_shape=(), sc_config=None,
+                tiers=tiers,
+            )
             conn.send(("loaded", name))
             continue
-        if kind == "train":
-            _, name, batch, state_payload = message
-            task_index += 1
-            action = chaos.decide(worker_id, task_index) if chaos else "none"
-            if action == "crash":
-                os._exit(CRASH_EXIT_CODE)
-            if action == "stall":
-                time.sleep(chaos.stall_s)
-            state = models.get(name)
-            if state is None:
-                conn.send(
-                    (
-                        "error",
-                        UnknownModelError(f"{name!r} not loaded in worker"),
-                    )
-                )
-                continue
-            model = state[0]
-            try:
-                from repro.scnn.ckpt import load_rng_state
-                from repro.scnn.layers import capture_sc_values
-
-                model.load_state_dict(state_payload["model"], strict=True)
-                load_rng_state(model, state_payload["rng"])
-                model.train()
-                with no_grad(), capture_sc_values() as values:
-                    model(Tensor(np.ascontiguousarray(batch)))
-                if action == "corrupt" and values:
-                    values[0] = np.full_like(values[0], np.nan)
-                conn.send(("train_ok", list(values)))
-            except Exception as error:  # noqa: BLE001 - shipped to parent
-                try:
-                    conn.send(("error", error))
-                except Exception:  # unpicklable exception: ship the repr
-                    conn.send(("error", ServeError(repr(error))))
-            continue
-        if kind != "run":  # pragma: no cover - protocol guard
+        if kind != "call":  # pragma: no cover - protocol guard
             conn.send(("error", ServeError(f"unknown message {kind!r}")))
             continue
-        _, name, tier, batch = message[:4]
-        trace_payload = message[4] if len(message) > 4 else None
+        _, task, name, args, trace_payload = message
         task_index += 1
         action = chaos.decide(worker_id, task_index) if chaos else "none"
         if action == "crash":
             os._exit(CRASH_EXIT_CODE)
         if action == "stall":
             time.sleep(chaos.stall_s)
-        state = models.get(name)
-        if state is None:
+        entry = entries.get(name)
+        if entry is None:
             conn.send(
                 ("error", UnknownModelError(f"{name!r} not loaded in worker"))
             )
             continue
-        model, tiers, current_tier = state
+        span_start = registry.span_count()
+        profile_start = registry.profile_count()
         try:
             ctx = (
                 trace.TraceContext.from_dict(trace_payload)
                 if trace_payload
                 else None
             )
-            registry = obs.get_registry()
-            span_start = registry.span_count()
-            with trace.scope(ctx), obs.span(
-                "worker.forward",
-                model=name,
-                tier=tier,
-                batch=int(batch.shape[0]),
-                worker=worker_id,
-            ):
-                if tier != current_tier and tiers[tier]:
-                    set_stream_lengths(model, **tiers[tier])
-                state[2] = tier
-                with no_grad():
-                    out = model(Tensor(np.ascontiguousarray(batch)))
-            logits = out.data
-            if action == "corrupt":
-                logits = np.full_like(logits, np.nan)
-            # Pop unconditionally: shipped spans free their registry
-            # slots, and discarding untraced ones keeps a long-lived
-            # worker from creeping to MAX_SPANS and silently dropping
-            # the spans a *traced* request needs.
-            shipped = registry.pop_spans_since(span_start)
+            with trace.scope(ctx):
+                result = task(entry, *args)
+            if action == "corrupt" and result:
+                result = [np.full_like(result[0], np.nan), *result[1:]]
+            extra = None
             if ctx is not None:
                 extra = {
-                    "spans": shipped,
+                    "spans": registry.pop_spans_since(span_start),
                     "epoch_wall": registry.epoch_wall,
                 }
-                conn.send(("ok", logits, tier, extra))
-            else:
-                conn.send(("ok", logits, tier))
+            conn.send(("ok", result, extra))
         except Exception as error:  # noqa: BLE001 - shipped to the parent
             try:
                 conn.send(("error", error))
             except Exception:  # unpicklable exception: ship the repr
                 conn.send(("error", ServeError(repr(error))))
+        finally:
+            # Shipped or not, the call's records leave this registry: a
+            # long-lived worker must not creep toward MAX_SPANS and
+            # MAX_PROFILES and then silently drop a traced call's spans.
+            registry.pop_spans_since(span_start)
+            registry.pop_profiles_since(profile_start)
 
 
 #: Handle lifecycle states.
@@ -351,8 +339,8 @@ class _WorkerHandle:
     """Parent-side view of one pool worker."""
 
     __slots__ = (
-        "id", "process", "conn", "state", "loaded", "tasks",
-        "spawned_at", "last_ping",
+        "id", "process", "conn", "state", "loaded", "spawned_at",
+        "last_ping",
     )
 
     def __init__(self, worker_id: int, process, conn, now: float):
@@ -361,7 +349,6 @@ class _WorkerHandle:
         self.conn = conn
         self.state = _STARTING
         self.loaded: set[str] = set()
-        self.tasks = 0
         self.spawned_at = now
         self.last_ping = now
 
@@ -392,7 +379,7 @@ class ProcessPoolBackend(ExecutionBackend):
     """Supervised pool of worker processes with crash/wedge recovery.
 
     One private duplex pipe per worker; a worker is exclusively owned by
-    one ``run()`` call while busy, so request/response matching is
+    one :meth:`call` while busy, so request/response matching is
     positional and a late answer can never be attributed to the wrong
     batch (a timed-out worker is *killed*, never reused). A supervisor
     thread closes the loop: it promotes freshly spawned workers to the
@@ -412,12 +399,6 @@ class ProcessPoolBackend(ExecutionBackend):
         self,
         num_workers: int = 2,
         chaos: ChaosConfig | None = None,
-        start_method: str | None = None,
-        heartbeat_interval_s: float = 0.5,
-        heartbeat_timeout_s: float = 5.0,
-        spawn_timeout_s: float = 120.0,
-        load_timeout_s: float = 60.0,
-        acquire_timeout_s: float = 30.0,
         busy_workers: int | None = None,
     ):
         if num_workers < 1:
@@ -428,16 +409,7 @@ class ProcessPoolBackend(ExecutionBackend):
         self.busy_workers = busy_workers or num_workers
         self.capacity = num_workers
         self.chaos = chaos
-        self.heartbeat_interval_s = heartbeat_interval_s
-        self.heartbeat_timeout_s = heartbeat_timeout_s
-        self.spawn_timeout_s = spawn_timeout_s
-        self.load_timeout_s = load_timeout_s
-        self.acquire_timeout_s = acquire_timeout_s
-        self._ctx = (
-            multiprocessing.get_context(start_method)
-            if start_method is not None
-            else pool_context()
-        )
+        self._ctx = pool_context()
         self._cond = threading.Condition()  # guards: _workers, _idle, _known_models, _next_id, _stopping, _started, _ping_seq, counters
         self._workers: dict[int, _WorkerHandle] = {}
         self._idle: list[int] = []
@@ -470,7 +442,7 @@ class ProcessPoolBackend(ExecutionBackend):
             self._stopping = False
             for _ in range(self.num_workers):
                 self._spawn_locked()
-        deadline = time.monotonic() + self.spawn_timeout_s
+        deadline = time.monotonic() + _SPAWN_TIMEOUT_S
         with self._cond:
             while (
                 not self._idle
@@ -504,7 +476,7 @@ class ProcessPoolBackend(ExecutionBackend):
             if not self._idle and not self._stopping:
                 raise ServeError(
                     "no pool worker became ready within "
-                    f"{self.spawn_timeout_s:.0f}s"
+                    f"{_SPAWN_TIMEOUT_S:.0f}s"
                 )
         self._supervisor = threading.Thread(
             target=self._supervise_loop, name="serve-supervisor", daemon=True
@@ -625,7 +597,7 @@ class ProcessPoolBackend(ExecutionBackend):
                     # Startup watchdog: never became ready.
                     elif (
                         handle.state == _STARTING
-                        and now - handle.spawned_at > self.spawn_timeout_s
+                        and now - handle.spawned_at > _SPAWN_TIMEOUT_S
                     ):
                         self._mark_dead_locked(handle, crashed=True)
                 dead = [
@@ -653,7 +625,7 @@ class ProcessPoolBackend(ExecutionBackend):
                     h
                     for h in self._workers.values()
                     if h.state == _IDLE
-                    and now - h.last_ping >= self.heartbeat_interval_s
+                    and now - h.last_ping >= _HEARTBEAT_INTERVAL_S
                 ]
                 for handle in ping_due:  # reserve before unlocking
                     handle.state = _BUSY
@@ -677,7 +649,7 @@ class ProcessPoolBackend(ExecutionBackend):
             "serve.worker_load", model=entry.name, worker=handle.id
         ):
             handle.conn.send(("load", entry.name, entry.model, entry.tiers))
-            reply = self._recv(handle, self.load_timeout_s)
+            reply = self._recv(handle, _LOAD_TIMEOUT_S)
         if reply != ("loaded", entry.name):
             raise WorkerCrashError(
                 f"worker {handle.id} failed to load {entry.name!r}: "
@@ -709,7 +681,7 @@ class ProcessPoolBackend(ExecutionBackend):
         ok = False
         try:
             handle.conn.send(("ping", seq))
-            if handle.conn.poll(self.heartbeat_timeout_s):
+            if handle.conn.poll(_HEARTBEAT_TIMEOUT_S):
                 message = handle.conn.recv()
                 ok = message == ("pong", seq)
         except (EOFError, OSError, BrokenPipeError):
@@ -730,7 +702,7 @@ class ProcessPoolBackend(ExecutionBackend):
     # -- execution -----------------------------------------------------------
 
     def _acquire(self) -> _WorkerHandle:
-        deadline = time.monotonic() + self.acquire_timeout_s
+        deadline = time.monotonic() + _ACQUIRE_TIMEOUT_S
         with self._cond:
             while True:
                 if self._stopping:
@@ -744,7 +716,7 @@ class ProcessPoolBackend(ExecutionBackend):
                 if remaining <= 0:
                     raise WorkerTimeoutError(
                         "no idle pool worker within "
-                        f"{self.acquire_timeout_s:.1f}s"
+                        f"{_ACQUIRE_TIMEOUT_S:.1f}s"
                     )
                 self._cond.wait(timeout=min(remaining, 0.05))
 
@@ -782,31 +754,38 @@ class ProcessPoolBackend(ExecutionBackend):
                 f"(exitcode {handle.process.exitcode})"
             ) from None
 
-    def run(
+    def call(
         self,
         entry: ModelEntry,
-        batch: np.ndarray,
-        tier: int,
+        task,
+        args: tuple,
+        check,
         timeout_s: float | None = None,
-    ) -> tuple[np.ndarray, int]:
+    ):
+        """Run ``task(entry, *args)`` on a pool worker; return
+        ``check(result)``.
+
+        ``task`` is a module-level function (it is pickled by reference)
+        and ``check`` validates its result in the parent. ``check`` runs
+        before the worker counts as healthy, so a corrupt result
+        (:class:`~repro.errors.ResultCorruptionError`) retires the
+        worker. A crash, a timeout, or a corrupt result raises a
+        retryable :class:`~repro.errors.ExecutionBackendError`; an
+        exception the task raised is re-raised as is.
+        """
         handle = self._acquire()
         healthy = False
         # The trace hop: ship the active context's child over the pipe
         # so worker-side spans join this request's trace; the reply then
         # carries them back for the parent registry to merge.
         ctx = trace.current()
-        hop = ctx.child() if ctx is not None else None
+        hop = ctx.child().to_dict() if ctx is not None else None
         try:
             if entry.name not in handle.loaded:
                 self._load_into(handle, entry)
             with self._cond:
                 self._known_models.setdefault(entry.name, entry)
-            if hop is not None:
-                handle.conn.send(
-                    ("run", entry.name, tier, batch, hop.to_dict())
-                )
-            else:
-                handle.conn.send(("run", entry.name, tier, batch))
+            handle.conn.send(("call", task, entry.name, args, hop))
             reply = self._recv(handle, timeout_s)
             kind = reply[0]
             if kind == "error":
@@ -819,72 +798,36 @@ class ProcessPoolBackend(ExecutionBackend):
                 raise WorkerCrashError(
                     f"worker {handle.id} broke protocol: {reply[0]!r}"
                 )
-            logits = _validate_logits(reply[1], batch.shape[0], entry.name)
+            _, result, extra = reply
+            result = check(result)
             healthy = True
-            handle.tasks += 1
             with self._cond:
                 self.counters["tasks"] += 1
-            if len(reply) > 3 and reply[3]:
-                extra = reply[3]
+            if extra is not None:
                 obs.get_registry().ingest_spans(
                     extra["spans"],
                     process=f"worker-{handle.id}",
-                    epoch_wall=extra.get("epoch_wall"),
+                    epoch_wall=extra["epoch_wall"],
                 )
-            return logits, reply[2]
+            return result
         finally:
             self._release(handle, healthy)
 
-    def run_train(
+    def run(
         self,
         entry: ModelEntry,
         batch: np.ndarray,
-        state_payload: dict,
+        tier: int,
         timeout_s: float | None = None,
-    ) -> list[np.ndarray]:
-        """One training-mode SC forward on a pool worker.
+    ) -> tuple[np.ndarray, int]:
+        def check(result) -> tuple[np.ndarray, int]:
+            logits, served_tier = result
+            return (
+                _validate_logits(logits, batch.shape[0], entry.name),
+                served_tier,
+            )
 
-        ``state_payload`` is ``{"model": state_dict, "rng":
-        rng_state_dict}`` — the complete mutable state the forward
-        depends on. Returns the captured per-SC-layer outputs (see
-        :func:`repro.scnn.layers.capture_sc_values`), validated finite.
-        Crashes, timeouts, and corrupt results raise the same retryable
-        errors as :meth:`run`.
-        """
-        handle = self._acquire()
-        healthy = False
-        try:
-            if entry.name not in handle.loaded:
-                self._load_into(handle, entry)
-            with self._cond:
-                self._known_models.setdefault(entry.name, entry)
-            handle.conn.send(("train", entry.name, batch, state_payload))
-            reply = self._recv(handle, timeout_s)
-            kind = reply[0]
-            if kind == "error":
-                healthy = True  # worker answered; it is fine
-                error = reply[1]
-                raise error if isinstance(error, Exception) else ServeError(
-                    str(error)
-                )
-            if kind != "train_ok":
-                raise WorkerCrashError(
-                    f"worker {handle.id} broke protocol: {reply[0]!r}"
-                )
-            values = [np.asarray(value) for value in reply[1]]
-            for value in values:
-                if not np.isfinite(value).all():
-                    raise ResultCorruptionError(
-                        f"worker {handle.id} returned non-finite SC "
-                        f"values for {entry.name!r}"
-                    )
-            healthy = True
-            handle.tasks += 1
-            with self._cond:
-                self.counters["tasks"] += 1
-            return values
-        finally:
-            self._release(handle, healthy)
+        return self.call(entry, _forward, (batch, tier), check, timeout_s)
 
     # -- introspection -------------------------------------------------------
 
@@ -906,15 +849,12 @@ def make_backend(
     kind: str,
     num_workers: int = 2,
     chaos: ChaosConfig | None = None,
-    **kwargs,
 ) -> ExecutionBackend:
     """Factory keyed by the CLI's ``--backend`` choice."""
     if kind == "thread":
         return InThreadBackend(chaos=chaos)
     if kind == "process":
-        return ProcessPoolBackend(
-            num_workers=num_workers, chaos=chaos, **kwargs
-        )
+        return ProcessPoolBackend(num_workers=num_workers, chaos=chaos)
     raise ConfigurationError(
         f"unknown backend {kind!r} (known: thread, process)"
     )

@@ -59,12 +59,10 @@ from repro import obs
 from repro.errors import (
     CircuitOpenError,
     DeadlineExceededError,
+    ExecutionBackendError,
     QueueFullError,
-    ResultCorruptionError,
     ServeError,
     ShapeError,
-    WorkerCrashError,
-    WorkerTimeoutError,
 )
 from repro.obs import trace
 from repro.obs.core import Counter, Histogram
@@ -80,12 +78,6 @@ from repro.utils.retry import call_with_retry
 
 #: Latency histogram buckets (milliseconds).
 _LATENCY_BUCKETS = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000)
-
-#: Failures the dispatcher retries: all transient-by-construction — a
-#: crashed or wedged worker is respawned, and SC forwards are
-#: deterministic so recomputing a corrupted result is exact.
-_RETRYABLE = (WorkerCrashError, WorkerTimeoutError, ResultCorruptionError)
-
 
 class _Stat:
     """Per-service counter that mirrors into the global obs registry.
@@ -428,7 +420,7 @@ class InferenceService:
         return call_with_retry(
             attempt,
             policy=self.policy.retry,
-            retry_on=_RETRYABLE,
+            retry_on=(ExecutionBackendError,),
             on_retry=on_retry,
         )
 

@@ -1,8 +1,9 @@
 """Tests for the resilience layer: retry, breaker, chaos, backends.
 
 Everything timing-sensitive runs against injected fake clocks and fake
-sleeps — the only real processes appear in the ``ProcessPoolBackend``
-tests, where process lifecycle *is* the property under test.
+sleeps — the only real processes appear in the process-pool tests
+(``ProcessPoolBackend`` and the ``MinibatchPool`` built on it), where
+process lifecycle *is* the property under test.
 """
 
 import random
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import nn, serve
+from repro import nn, obs, serve
 from repro.errors import (
     CircuitOpenError,
     ConfigurationError,
@@ -22,6 +23,9 @@ from repro.errors import (
     WorkerCrashError,
     WorkerTimeoutError,
 )
+from repro.obs import trace
+from repro.scnn import MinibatchPool, SCConfig
+from repro.scnn.layers import SCConv2d
 from repro.serve.backend import (
     InThreadBackend,
     ProcessPoolBackend,
@@ -62,6 +66,33 @@ def _fp_entry(name="fp", **register_kw):
         name, _fp_model(), input_shape=(8,), warm=False, **register_kw
     )
     return registry, entry
+
+
+#: Per-sample input shape of :func:`_sc_model`.
+SC_INPUT_SHAPE = (1, 6, 6)
+
+
+def _sc_model(seed=0):
+    """One SC conv + FP head: a 3-tier ladder (32/16/8-bit streams)."""
+    cfg = SCConfig(stream_length=32, stream_length_pooling=32)
+    rng = np.random.default_rng(seed)
+    return nn.Sequential(
+        SCConv2d(1, 2, 3, cfg, rng=rng),
+        nn.Flatten(),
+        nn.Linear(2 * 4 * 4, 3, rng=rng),
+    )
+
+
+def _sc_batch(n, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0, 1, (n, *SC_INPUT_SHAPE)).astype(np.float32)
+
+
+def _registry_records(entry):
+    """Pool-worker task: whether telemetry is on in the worker, and how
+    many spans and profiles its registry holds."""
+    registry = obs.get_registry()
+    return registry.enabled, registry.span_count(), registry.profile_count()
 
 
 class TestRetryPolicy:
@@ -639,7 +670,7 @@ def test_property_cooldown_bounds_tier_change_rate(samples):
 def process_pool():
     """One tiny supervised pool shared by the process-backend tests
     (forkserver warm-up is the expensive part; pay it once)."""
-    backend = ProcessPoolBackend(num_workers=1, heartbeat_interval_s=0.1)
+    backend = ProcessPoolBackend(num_workers=1)
     backend.start()
     yield backend
     backend.stop()
@@ -681,6 +712,44 @@ class TestProcessPoolBackend:
             assert backend.counters["crashes_detected"] >= 1
             assert backend.counters["respawned"] >= 1
 
+    def test_corruption_raises_and_retires_the_worker(self):
+        _, entry = _fp_entry()
+        chaos = ChaosConfig(corrupt_rate=1.0, seed=0)
+        with ProcessPoolBackend(num_workers=1, chaos=chaos) as backend:
+            (first,) = backend._workers.values()
+            with pytest.raises(ResultCorruptionError, match="non-finite"):
+                backend.run(entry, np.zeros((2, 8), np.float32), 0)
+            first.process.join(timeout=5.0)
+            assert not first.process.is_alive()
+            deadline = time.monotonic() + 10.0
+            while (
+                backend.counters["respawned"] == 0
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.02)
+            assert backend.counters["respawned"] >= 1
+            assert first.id not in backend._workers
+            assert backend.counters["tasks"] == 0
+
+    def test_first_ship_flips_a_degraded_model_to_the_requested_tier(
+        self, process_pool
+    ):
+        registry = ModelRegistry()
+        entry = registry.register(
+            "sc-degraded", _sc_model(), input_shape=SC_INPUT_SHAPE,
+            warm=False,
+        )
+        # The parent's copy is on its deepest tier when the worker first
+        # receives it; a tier-0 call must still run at tier 0.
+        entry.set_tier(entry.max_tier)
+        batch = _sc_batch(2)
+        pool_logits, pool_tier = process_pool.run(entry, batch, 0)
+        deep_logits, _ = InThreadBackend().run(entry, batch, entry.max_tier)
+        thread_logits, thread_tier = InThreadBackend().run(entry, batch, 0)
+        assert pool_tier == thread_tier == 0
+        assert np.array_equal(pool_logits, thread_logits)
+        assert not np.array_equal(deep_logits, thread_logits)
+
     def test_run_after_stop_raises(self):
         backend = ProcessPoolBackend(num_workers=1)
         backend._stopping = True  # never started; acquire must bail out
@@ -708,3 +777,44 @@ class TestProcessServiceEndToEnd:
         for t, p in zip(thread_results, pool_results):
             assert np.array_equal(t.outputs, p.outputs)
             assert t.tier == p.tier
+
+
+class TestWorkerTelemetry:
+    """A pool worker's registry keeps no span and no profile from the
+    calls it answered, serving or training, traced or not."""
+
+    def test_serving_calls_leave_no_records(self):
+        registry = ModelRegistry()
+        entry = registry.register(
+            "sc", _sc_model(), input_shape=SC_INPUT_SHAPE, warm=False
+        )
+        ctx = trace.new_trace()
+        with ProcessPoolBackend(num_workers=1) as backend:
+            (worker,) = backend._workers
+            for tier in (0, 1, 2):
+                backend.run(entry, _sc_batch(2, seed=tier), tier)
+            with trace.scope(ctx):
+                backend.run(entry, _sc_batch(3), 1)
+            records = backend.call(entry, _registry_records, (), tuple)
+        assert records == (True, 0, 0)
+        # The traced call's spans were shipped before they were dropped.
+        (shipped,) = [
+            span for span in trace.collect_trace(ctx.trace_id)
+            if span["name"] == "worker.forward"
+        ]
+        assert shipped["process"] == f"worker-{worker}"
+        assert {
+            key: shipped["attrs"][key]
+            for key in ("model", "tier", "batch", "worker")
+        } == {"model": "sc", "tier": 1, "batch": 3, "worker": worker}
+
+    def test_training_calls_leave_no_records(self):
+        with MinibatchPool(
+            _sc_model(), input_shape=SC_INPUT_SHAPE, num_workers=1
+        ) as pool:
+            for seed in range(3):
+                assert pool.sc_values(_sc_batch(4, seed=seed)) is not None
+            records = pool.backend.call(
+                pool.entry, _registry_records, (), tuple
+            )
+        assert records == (True, 0, 0)

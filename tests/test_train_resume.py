@@ -546,3 +546,27 @@ class TestMinibatchPool:
         # Degradation is graceful: the run completes bit-identically.
         assert result.losses == ref.losses
         assert params_equal(model, ref_model)
+
+
+def test_corrupting_pool_run_bit_identical(data):
+    """A worker that returns corrupt SC values is retired and the batch
+    re-run elsewhere: the run still matches the in-process one."""
+    train, test = data
+    ref_model = build_model()
+    ref = train_model(ref_model, train, test, **TRAIN_KW)
+
+    model = build_model()
+    # Seed 11 corrupts the first call of workers 0 and 1, so the first
+    # batch is corrupted whichever worker takes it.
+    chaos = ChaosConfig(corrupt_rate=0.3, seed=11)
+    with MinibatchPool(
+        model, input_shape=INPUT_SHAPE, num_workers=2, chaos=chaos, seed=0,
+    ) as pool:
+        result = train_model(model, train, test, pool=pool, **TRAIN_KW)
+        stats = pool.stats()
+    assert result.losses == ref.losses
+    assert result.test_accuracy == ref.test_accuracy
+    assert params_equal(model, ref_model)
+    assert stats["retries"] >= 1
+    assert stats["backend"]["respawned"] >= 1
+    assert stats["pooled"] + stats["fallbacks"] == stats["batches"] == 4
