@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConfigurationError, StreamLengthError
+from repro.errors import ConfigurationError, ShapeError, StreamLengthError
 
 
 def stream_bits(length: int) -> int:
@@ -36,14 +36,19 @@ def stream_bits(length: int) -> int:
 def quantize_unipolar(values: np.ndarray, bits: int) -> np.ndarray:
     """Quantize values in ``[0, 1]`` to integers in ``[0, 2**bits - 1]``.
 
-    Values are clipped into range first; quantization is round-to-nearest
-    so the SC value grid matches the fixed-point reference used by the
-    paper's RMS-error comparison (Fig. 2).
+    Values are clipped into range first (``±inf`` saturates like any
+    out-of-range value); quantization is round-to-nearest so the SC value
+    grid matches the fixed-point reference used by the paper's RMS-error
+    comparison (Fig. 2). NaN has no level and raises :class:`ShapeError`.
     """
     if bits < 1:
         raise ConfigurationError(f"need at least 1 bit, got {bits}")
     levels = (1 << bits) - 1
-    clipped = np.clip(np.asarray(values, dtype=np.float64), 0.0, 1.0)
+    values = np.asarray(values, dtype=np.float64)
+    nan = np.count_nonzero(np.isnan(values))
+    if nan:
+        raise ShapeError(f"{nan} of {values.size} values to quantize are NaN")
+    clipped = np.clip(values, 0.0, 1.0)
     return np.rint(clipped * levels).astype(np.int64)
 
 

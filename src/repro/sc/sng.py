@@ -14,6 +14,11 @@ so over a full LFSR period of ``2**n - 1`` cycles a target ``q`` produces
 exactly ``q`` ones — the "almost accurate generation" the paper relies on,
 and the estimated value ``ones/period`` equals ``q / (2**n - 1)`` exactly.
 
+The comparator is monotone in the target: each (generator, cycle) bit
+turns on at one *threshold* target and stays on for every larger one.
+:meth:`SNG.table` builds the streams of a whole target alphabet from
+those thresholds, in memory proportional to the table it returns.
+
 :class:`ProgressiveSNG` implements Sec. II-B: generation starts once the
 2 most-significant bits of the target are in the buffer, with the lower
 bits arriving in groups of 2 every 2 cycles (the unloaded tail reads as 0).
@@ -26,7 +31,10 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.sc.rng import RandomSource
 from repro.sc.streams import StreamBatch
-from repro.utils.bitops import pack_bits
+from repro.utils.bitops import WORD_BITS, pack_bits, packed_words
+
+#: One set bit per position of a packed word.
+_WORD_BIT = np.left_shift(np.uint64(1), np.arange(WORD_BITS, dtype=np.uint64))
 
 
 def _validate_targets(targets: np.ndarray, bits: int) -> np.ndarray:
@@ -90,6 +98,39 @@ class SNG:
         bits = rand <= targets[..., None]
         return StreamBatch(pack_bits(bits), length)
 
+    def thresholds(self, rand: np.ndarray) -> np.ndarray:
+        """Smallest target whose stream bit each random value sets.
+
+        ``rand`` is a bank ``(..., length)``; the bit is ``rand <=
+        target``, so the threshold is ``rand`` itself.
+        """
+        return rand
+
+    def table(self, seeds: np.ndarray, length: int) -> np.ndarray:
+        """Packed streams of every target for each seed.
+
+        Returns ``uint64`` words of shape ``(len(seeds), 2**bits,
+        words)``; row ``[i, v]`` equals ``generate(v, seeds[i],
+        length)``, and the bank is drawn once over ``seeds``, as
+        :meth:`generate` draws it over its unique seeds.
+
+        Each (seed, cycle) bit is scattered into the row of its
+        threshold target, then the rows are OR-accumulated along the
+        target axis, so every larger target inherits it. A threshold
+        past ``2**bits - 1`` never fires.
+        """
+        seeds = np.asarray(seeds, dtype=np.int64)
+        size = 1 << self.bits
+        threshold = self.thresholds(self.source.bank(seeds, length))
+        words = packed_words(length)
+        table = np.zeros((seeds.size, size, words), dtype=np.uint64)
+        for w in range(words):
+            level = threshold[:, w * WORD_BITS : (w + 1) * WORD_BITS]
+            row, t = np.nonzero(level < size)
+            np.bitwise_or.at(table[:, :, w], (row, level[row, t]), _WORD_BIT[t])
+        np.bitwise_or.accumulate(table, axis=1, out=table)
+        return table
+
 
 class ProgressiveSNG(SNG):
     """Progressive stream generation (paper Sec. II-B, Fig. 3b).
@@ -150,6 +191,14 @@ class ProgressiveSNG(SNG):
         low_zeros = self.bits - loaded  # (L,)
         masks = (~((np.int64(1) << low_zeros) - 1)) & ((1 << self.bits) - 1)
         return targets[..., None] & masks
+
+    def thresholds(self, rand: np.ndarray) -> np.ndarray:
+        """At cycle ``t`` the comparator sees the target with its low
+        ``low[t]`` bits cleared, a multiple of ``2**low[t]``; ``rand``
+        passes it once the target reaches ``rand`` rounded up to that
+        multiple, which may lie past the alphabet."""
+        low = self.bits - self.loaded_bits_schedule(rand.shape[-1])
+        return ((rand + (1 << low) - 1) >> low) << low
 
     def generate(
         self,

@@ -10,7 +10,9 @@ Key implementation trick: a stream is fully determined by ``(seed,
 quantized value)``, and both alphabets are small (``<= 2**n`` values,
 a few hundred shared seeds). Streams are therefore materialized through a
 precomputed *stream table* ``(num_seeds, 2**n, words)`` and pure fancy
-indexing — no per-element comparator loop. For deterministic LFSR sources
+indexing — no per-element comparator loop. The table itself is built from
+each (seed, cycle)'s comparator threshold (:meth:`repro.sc.sng.SNG.table`),
+in memory proportional to the table. For deterministic LFSR sources
 the tables are cached (LRU) across training steps; TRNG tables are rebuilt
 every call, which is exactly the physical difference training exploits.
 
@@ -24,6 +26,9 @@ for bit-exactness cross-checks.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import platform
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -87,10 +92,33 @@ def table_cache_stats() -> dict[str, int]:
     }
 
 
-def _make_generator(source: RandomSource, bits: int, progressive: bool):
-    if progressive:
-        return ProgressiveSNG(source, bits)
-    return SNG(source, bits)
+# glibc mallopt parameters (malloc.h).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _pin_malloc_thresholds() -> None:
+    """Fix glibc's mmap threshold at 32 MiB and its trim threshold at
+    64 MiB, once per process; a no-op off glibc.
+
+    glibc's dynamic rule starts mmapping chunks at 128 KiB and raises
+    the threshold to the size of each larger mmapped chunk freed (up to
+    32 MiB, the trim threshold following at twice that). Table builds
+    free no large scratch, so left alone the thresholds stay at a few
+    MB, and a forward's few-MB temporaries (quantized copies, im2col
+    columns, kernel scratch) are handed back to the kernel and faulted
+    in again on every call. Setting either parameter turns the dynamic
+    rule off for both, so both are set, at the ceiling the rule would
+    reach.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
 def _build_source(cfg: SCConfig, bits: int, layer_index: int, call_index: int) -> RandomSource:
@@ -119,7 +147,6 @@ def stream_table(
     """
     global _TABLE_CACHE_BYTES
     unique = np.unique(seeds.ravel())
-    alphabet = np.arange(1 << bits, dtype=np.int64)
     cache_key = None
     if source.deterministic:
         cache_key = (
@@ -135,14 +162,15 @@ def stream_table(
             _CACHE_HITS.add(1)
             return cached, unique
         _CACHE_MISSES.add(1)
-    with obs.span(
+    _pin_malloc_thresholds()
+    reg = obs.get_registry()
+    with reg.span(
         "sc.table_build", bits=bits, length=length, seeds=int(unique.size)
-    ):
-        generator = _make_generator(source, bits, progressive)
-        targets = np.broadcast_to(alphabet, (unique.size, alphabet.size))
-        seed_grid = np.broadcast_to(unique[:, None], targets.shape)
-        batch = generator.generate(targets, seed_grid, length)
-        table = batch.packed  # (U, 2**bits, words)
+    ) as sp:
+        sng = ProgressiveSNG(source, bits) if progressive else SNG(source, bits)
+        table = sng.table(unique, length)  # (U, 2**bits, words)
+        if reg.enabled:
+            sp.attrs["bytes"] = table.nbytes
     if cache_key is not None:
         while len(_TABLE_CACHE) >= _TABLE_CACHE_LIMIT:
             _, evicted = _TABLE_CACHE.popitem(last=False)

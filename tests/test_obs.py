@@ -12,7 +12,8 @@ from repro.arch import GEO_ULP, STREAMS_32_64, compile_network
 from repro.arch.executor import Executor
 from repro.models.shapes import cnn4_shapes
 from repro.scnn.config import SCConfig
-from repro.scnn.sim import SCConvSimulator, clear_table_cache
+from repro.sc.rng import LFSRSource
+from repro.scnn.sim import SCConvSimulator, clear_table_cache, stream_table
 from repro.utils.parallel import parallel_map
 
 
@@ -166,6 +167,29 @@ class TestDisabledMode:
         assert profile["stream_length"] == 32
         assert profile["bytes_touched"] > 0
         assert profile["wall_s"] >= 0.0
+
+
+class TestTableBuildSpan:
+    def _builds(self):
+        return [
+            s for s in obs.get_registry().spans if s.name == "sc.table_build"
+        ]
+
+    def test_miss_records_the_table_bytes_and_a_hit_records_nothing(self):
+        clear_table_cache()
+        try:
+            table, _ = stream_table(
+                LFSRSource(6), 6, 100, np.array([9, 4, 9, 1]), False
+            )
+            (build,) = self._builds()
+            assert build.attrs == {
+                "bits": 6, "length": 100, "seeds": 3, "bytes": table.nbytes,
+            }
+            assert table.nbytes == 3 * 64 * 2 * 8
+            stream_table(LFSRSource(6), 6, 100, np.array([1, 4, 9]), False)
+            assert len(self._builds()) == 1
+        finally:
+            clear_table_cache()
 
 
 class TestExporters:

@@ -1,7 +1,9 @@
 """Tests for SC layers, straight-through training, and config swapping."""
 
 import numpy as np
+import pytest
 
+from repro.errors import ShapeError
 from repro.nn import Adam
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
@@ -29,6 +31,43 @@ class TestStraightThrough:
         out = straight_through(y_fp, np.ones((2, 2), dtype=np.float32))
         (out * 3.0).sum().backward()
         np.testing.assert_allclose(y_fp.grad, np.full((2, 2), 3.0))
+
+
+class TestNonFiniteValues:
+    """NaN has no quantization level; ±inf saturates like any value
+    outside the representable range."""
+
+    def _layer_and_input(self):
+        layer = SCConv2d(2, 3, 3, CFG, padding=1)
+        x = np.random.default_rng(4).uniform(0, 1, size=(2, 2, 5, 5))
+        return layer, x
+
+    def test_nan_activation_raises_shape_error(self):
+        layer, x = self._layer_and_input()
+        x[0, 1, 2, 3] = x[1, 0, 0, 0] = np.nan
+        with pytest.raises(ShapeError, match="2 of"):
+            layer(Tensor(x))
+
+    def test_all_nan_activation_raises_instead_of_reading_zero(self):
+        layer, x = self._layer_and_input()
+        with pytest.raises(ShapeError):
+            layer(Tensor(np.full_like(x, np.nan)))
+
+    def test_nan_weight_raises_shape_error(self):
+        layer, x = self._layer_and_input()
+        layer.weight.data[0, 0, 0, 0] = np.nan
+        with pytest.raises(ShapeError, match="1 of"):
+            layer(Tensor(x))
+
+    def test_infinite_values_saturate(self):
+        layer, x = self._layer_and_input()
+        x[0, 0, :2] = np.inf
+        x[1, 1, 3:] = -np.inf
+        layer.weight.data[0, 0, 0, :] = (np.inf, -np.inf, 0.25)
+        y_inf = layer(Tensor(x)).data
+        layer.weight.data = np.clip(layer.weight.data, -1.0, 1.0)
+        y_clipped = layer(Tensor(np.clip(x, 0.0, 1.0))).data
+        np.testing.assert_array_equal(y_inf, y_clipped)
 
 
 class TestSCConv2d:

@@ -1,5 +1,13 @@
 """Tests for the bit-true SC convolution simulator."""
 
+import os
+import platform
+import subprocess
+import sys
+import textwrap
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -51,6 +59,65 @@ class TestStreamTable:
         a, _ = stream_table(src, 5, 32, np.array([1, 2]), False)
         b, _ = stream_table(src, 5, 32, np.array([1, 2]), False)
         assert a is b
+
+    @pytest.mark.parametrize("progressive", [False, True])
+    def test_build_peak_is_bounded_by_the_table(self, progressive):
+        # The serving CNN-4's output layer: 7 bits, length 128, 762
+        # seeds. An alphabet-wide comparison peaks at 83x (plain) and
+        # 146x (progressive) the table's bytes.
+        seeds = np.arange(762) * 3
+        tracemalloc.start()
+        try:
+            table, _ = stream_table(LFSRSource(7), 7, 128, seeds, progressive)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.shape == (762, 128, 2)
+        assert peak <= 4 * table.nbytes
+
+
+_FAULT_PROBE = textwrap.dedent(
+    """
+    import resource
+
+    import numpy as np
+
+    from repro.models import lenet5_sc
+    from repro.scnn.config import SCConfig
+    from repro.serve.registry import ModelRegistry
+
+    cfg = SCConfig(stream_length=64, stream_length_pooling=32)
+    entry = ModelRegistry().register("lenet5", lenet5_sc(cfg), (1, 28, 28))
+    x = np.random.default_rng(0).uniform(0, 1, (1, 1, 28, 28))
+    entry.forward(x.astype(np.float32), tier=0)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):
+        entry.forward(x.astype(np.float32), tier=0)
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    print((after - before) / 20)
+    """
+)
+
+
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc", reason="pins glibc malloc thresholds"
+)
+def test_steady_serving_forwards_do_not_page_fault():
+    # A fresh process registers LeNet-5 (warming every tier), then
+    # runs batch-1 forwards, which must reuse heap memory. Left to
+    # glibc's dynamic rule, the mmap and trim thresholds stay at a few
+    # MB, and each forward hands ~10 MB back to the kernel and faults
+    # ~2,400 pages in again.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAULT_PROBE],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    faults_per_forward = float(proc.stdout.split()[-1])
+    assert faults_per_forward < 100
 
 
 class TestSCConvSimulator:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.sc.formats import quantize_unipolar
-from repro.sc.rng import LFSRSource, TRNGSource
+from repro.sc.rng import LFSRSource, SobolSource, TRNGSource
 from repro.sc.sng import SNG, ProgressiveSNG, ShadowBufferedSNG
 from repro.sc.streams import scc
 
@@ -130,6 +130,54 @@ class TestProgressiveSNG:
             ProgressiveSNG(LFSRSource(8), 8, bits_per_group=0)
         with pytest.raises(ConfigurationError):
             ProgressiveSNG(LFSRSource(8), 8, initial_bits=9)
+
+
+def _source_pair(kind: str, bits: int, root: int):
+    """Two sources that draw the same bank on their first call."""
+    if kind == "lfsr":
+        return LFSRSource(bits), LFSRSource(bits)
+    if kind == "sobol":
+        return SobolSource(bits), SobolSource(bits)
+    fresh = kind == "trng-fresh"
+    return tuple(
+        TRNGSource(bits, root_seed=root, fresh_draws=fresh) for _ in range(2)
+    )
+
+
+class TestTable:
+    """``SNG.table`` (threshold scatter + OR-accumulate) against
+    ``generate`` over the broadcast alphabet, the comparator itself."""
+
+    @given(
+        kind=st.sampled_from(["lfsr", "sobol", "trng-fresh", "trng-frozen"]),
+        bits=st.integers(min_value=2, max_value=8),
+        length=st.integers(min_value=8, max_value=256),
+        progressive=st.booleans(),
+        picks=st.lists(
+            st.integers(min_value=0, max_value=2**20), min_size=1, max_size=12
+        ),
+        root=st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=120, deadline=None)
+    @pytest.mark.filterwarnings("ignore:The balance properties")
+    def test_equals_generate_over_the_alphabet(
+        self, kind, bits, length, progressive, picks, root
+    ):
+        built_src, ref_src = _source_pair(kind, bits, root)
+        seeds = np.unique([p % built_src.max_unique_seeds() for p in picks])
+        cls = ProgressiveSNG if progressive else SNG
+        table = cls(built_src, bits).table(seeds, length)
+        alphabet = np.broadcast_to(np.arange(1 << bits), (seeds.size, 1 << bits))
+        ref = cls(ref_src, bits).generate(alphabet, seeds[:, None], length)
+        assert table.dtype == ref.packed.dtype
+        np.testing.assert_array_equal(table, ref.packed)
+
+    def test_progressive_threshold_past_the_alphabet_never_fires(self):
+        # Cycle 0 sees only the top 2 of 8 bits: a random value of 65
+        # needs the target rounded up to 128, so targets 65..127 stay 0.
+        sng = ProgressiveSNG(LFSRSource(8), 8)
+        rand = np.array([[65, 200]])
+        np.testing.assert_array_equal(sng.thresholds(rand), [[128, 256]])
 
 
 class TestShadowBuffering:
