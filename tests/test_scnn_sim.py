@@ -63,7 +63,7 @@ class TestStreamTable:
     @pytest.mark.parametrize("progressive", [False, True])
     def test_build_peak_is_bounded_by_the_table(self, progressive):
         # The serving CNN-4's output layer: 7 bits, length 128, 762
-        # seeds. An alphabet-wide comparison peaks at 83x (plain) and
+        # seeds. An alphabet-wide comparison peaks at 82x (plain) and
         # 146x (progressive) the table's bytes.
         seeds = np.arange(762) * 3
         tracemalloc.start()
@@ -88,11 +88,11 @@ _FAULT_PROBE = textwrap.dedent(
 
     cfg = SCConfig(stream_length=64, stream_length_pooling=32)
     entry = ModelRegistry().register("lenet5", lenet5_sc(cfg), (1, 28, 28))
-    x = np.random.default_rng(0).uniform(0, 1, (1, 1, 28, 28))
-    entry.forward(x.astype(np.float32), tier=0)
+    x = np.random.default_rng(0).uniform(0, 1, (1, 1, 28, 28)).astype("f4")
+    entry.forward(x, tier=0)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(20):
-        entry.forward(x.astype(np.float32), tier=0)
+        entry.forward(x, tier=0)
     after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     print((after - before) / 20)
     """

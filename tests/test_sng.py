@@ -173,8 +173,9 @@ class TestTable:
         np.testing.assert_array_equal(table, ref.packed)
 
     def test_progressive_threshold_past_the_alphabet_never_fires(self):
-        # Cycle 0 sees only the top 2 of 8 bits: a random value of 65
-        # needs the target rounded up to 128, so targets 65..127 stay 0.
+        # Cycles 0 and 1 see only the top 2 of 8 target bits, a multiple
+        # of 64: a random value of 65 first passes at target 128, and
+        # 200 never does (256 is past the alphabet).
         sng = ProgressiveSNG(LFSRSource(8), 8)
         rand = np.array([[65, 200]])
         np.testing.assert_array_equal(sng.thresholds(rand), [[128, 256]])
