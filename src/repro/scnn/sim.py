@@ -95,12 +95,13 @@ def table_cache_stats() -> dict[str, int]:
 # glibc mallopt parameters (malloc.h).
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 
 
 @functools.cache
-def _pin_malloc_thresholds() -> None:
-    """Fix glibc's mmap threshold at 32 MiB and its trim threshold at
-    64 MiB, once per process; a no-op off glibc.
+def _pin_malloc_parameters() -> None:
+    """Fix glibc's mmap threshold at 32 MiB, its trim threshold at 64 MiB
+    and its arena count at one, once per process; a no-op off glibc.
 
     glibc's dynamic rule starts mmapping chunks at 128 KiB and raises
     the threshold to the size of each larger mmapped chunk freed (up to
@@ -111,6 +112,12 @@ def _pin_malloc_thresholds() -> None:
     in again on every call. Setting either parameter turns the dynamic
     rule off for both, so both are set, at the ceiling the rule would
     reach.
+
+    With the freed scratch kept, each thread's own arena would keep its
+    own copy: a serving process's footprint would then depend on which
+    dispatch threads happened to run forwards. One arena lets every
+    thread reuse the same freed memory; the GIL already serializes
+    nearly every allocation. Threads that already hold an arena keep it.
     """
     if platform.libc_ver()[0] != "glibc":
         return
@@ -119,6 +126,7 @@ def _pin_malloc_thresholds() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
     mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+    mallopt(_M_ARENA_MAX, 1)
 
 
 def _build_source(cfg: SCConfig, bits: int, layer_index: int, call_index: int) -> RandomSource:
@@ -162,7 +170,7 @@ def stream_table(
             _CACHE_HITS.add(1)
             return cached, unique
         _CACHE_MISSES.add(1)
-    _pin_malloc_thresholds()
+    _pin_malloc_parameters()
     reg = obs.get_registry()
     with reg.span(
         "sc.table_build", bits=bits, length=length, seeds=int(unique.size)
@@ -506,12 +514,16 @@ class SCConvSimulator:
             act_seed_idx = np.searchsorted(unique, plan.act_seeds)
             fused = cfg.engine == "fused"
             chunk = max(1, cfg.batch_chunk)
+            # Unrolled levels in the narrowest type that holds them (uint8
+            # up to 8 bits): the columns and the kernels' copies of them
+            # are a forward's largest temporaries, and int64 made them 8x.
+            levels = np.min_scalar_type((1 << bits) - 1)
             for start in range(0, n, chunk):
                 xs = q_act_full[start : start + chunk]
                 with reg.span("scnn.im2col"):
                     cols = im2col(
-                        xs.astype(np.float32), kh, kw, self.stride, self.padding
-                    ).astype(np.int64)
+                        xs.astype(levels), kh, kw, self.stride, self.padding
+                    )
                 bytes_touched += cols.nbytes
                 # cols: (nc, Cin, KH, KW, OH, OW)
                 if fused:

@@ -120,7 +120,94 @@ def test_steady_serving_forwards_do_not_page_fault():
     assert faults_per_forward < 100
 
 
+_ARENA_PROBE = textwrap.dedent(
+    """
+    import threading
+
+    import numpy as np
+
+    from repro.models import cnn4_sc
+    from repro.scnn.config import SCConfig
+    from repro.serve.registry import ModelRegistry
+
+    def hwm_kb():
+        with open("/proc/self/status") as handle:
+            for line in handle:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+
+    cfg = SCConfig(stream_length=64, stream_length_pooling=32)
+    model = cnn4_sc(cfg, in_channels=3, input_size=32, width_mult=0.5)
+    entry = ModelRegistry().register("cnn4", model, (3, 32, 32))
+    x = np.random.default_rng(0).uniform(0, 1, (8, 3, 32, 32)).astype("f4")
+    for _ in range(3):
+        entry.forward(x, tier=0)
+    before = hwm_kb()
+    release = threading.Event()
+
+    def serve(done):
+        entry.forward(x, tier=0)
+        done.set()
+        release.wait()
+
+    threads = []
+    for _ in range(2):
+        done = threading.Event()
+        thread = threading.Thread(target=serve, args=(done,))
+        thread.start()
+        done.wait()
+        threads.append(thread)
+    release.set()
+    for thread in threads:
+        thread.join()
+    print((hwm_kb() - before) / 1024)
+    """
+)
+
+
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc", reason="pins glibc's arena count"
+)
+def test_forwards_on_new_threads_reuse_the_heap():
+    # After three main-thread forwards, two more run on two live
+    # threads in turn, as serving dispatch threads do. With one malloc
+    # arena per thread, each thread's forward faulted in its own copy
+    # of the scratch (and kept it), so a process's peak depended on
+    # which threads happened to run forwards.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    proc = subprocess.run(
+        [sys.executable, "-c", _ARENA_PROBE],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    growth_mb = float(proc.stdout.split()[-1])
+    assert growth_mb < 2.0
+
+
 class TestSCConvSimulator:
+    def test_forward_peak_is_below_the_int64_columns(self):
+        # CNN-4 (w0.5)'s second conv at serving batch 8. The unrolled
+        # activation levels and the kernel's grouped copy of them are
+        # a forward's largest temporaries: held as int64 they peaked at
+        # 3x the int64 columns' bytes (19.6 MB).
+        x, w = make_inputs(seed=12, n=8, cin=16, size=16, cout=16, k=5)
+        cfg = SCConfig(
+            stream_length=32, stream_length_pooling=32, num_workers=1
+        )
+        sim = SCConvSimulator((16, 16, 5, 5), cfg, padding=2)
+        expected = sim(x, w)  # builds and caches the stream table
+        tracemalloc.start()
+        try:
+            out = sim(x, w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(out, expected)
+        columns = x.size * 5 * 5 * 8  # (N, Cin, KH, KW, OH, OW) int64
+        assert peak < columns
+
     def test_output_shape(self):
         x, w = make_inputs()
         cfg = SCConfig(stream_length=32, stream_length_pooling=32)
