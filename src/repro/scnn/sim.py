@@ -514,9 +514,9 @@ class SCConvSimulator:
             act_seed_idx = np.searchsorted(unique, plan.act_seeds)
             fused = cfg.engine == "fused"
             chunk = max(1, cfg.batch_chunk)
-            # Unrolled levels in the narrowest type that holds them (uint8
-            # up to 8 bits): the columns and the kernels' copies of them
-            # are a forward's largest temporaries, and int64 made them 8x.
+            # Levels are unrolled in the narrowest type that holds them
+            # (uint8 up to 8 bits): the columns and the kernels' copies of
+            # them are a forward's largest temporaries.
             levels = np.min_scalar_type((1 << bits) - 1)
             for start in range(0, n, chunk):
                 xs = q_act_full[start : start + chunk]
