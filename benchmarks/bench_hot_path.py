@@ -14,8 +14,8 @@ every accumulation mode under four arms:
   siblings; on a single-CPU machine this arm documents, rather than
   shows, thread scaling).
 
-Both fused arms run :func:`repro.sc.kernels.heuristic_plan`'s plan for
-each layer shape.
+Both fused arms run the kernels' own geometry rule for each layer
+shape.
 
 Each arm is warmed first (stream tables are built and cached on the
 warm-up call) and the best of ``reps`` runs is kept — the interesting

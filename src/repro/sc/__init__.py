@@ -43,12 +43,7 @@ from repro.sc.accumulate import (
     binary_group_count,
     expected_accumulate,
 )
-from repro.sc.kernels import (
-    ExecPlan,
-    fused_conv_counts,
-    group_structure,
-    heuristic_plan,
-)
+from repro.sc.kernels import fused_conv_counts, group_structure
 from repro.sc.sharing import SeedPlan, SharingLevel, lfsr_count, plan_seeds
 from repro.sc.progressive import (
     MultiplicationErrorCurve,
@@ -114,10 +109,8 @@ __all__ = [
     "accumulate_products",
     "binary_group_count",
     "expected_accumulate",
-    "ExecPlan",
     "fused_conv_counts",
     "group_structure",
-    "heuristic_plan",
     "SeedPlan",
     "SharingLevel",
     "lfsr_count",

@@ -46,19 +46,19 @@ Two slab *layouts* cover complementary regimes (DESIGN §3.6):
   as above, and AND/OR stream over the contiguous ``G*S*words`` inner
   block. Wins when OR groups are long (SC, PBW) or carry the APC
   sentinel padding.
-* ``s_outer`` (PBHW default): operands stay in **natural** member-major
+* ``s_outer`` (PBHW): operands stay in **natural** member-major
   ``(S, G)`` order — no permutation copy at all — with the spatial axis
   innermost. The AND then broadcasts each weight word stride-0 over a
   long contiguous spatial run, and the OR-reduction runs over the
   *outermost* member axis in full ``G*Pc*words`` planes; both patterns
   match the per-channel reference loop's fast inner loops while keeping
-  the fused engine's single activation gather. Only valid when the
-  mode's OR-group permutation is the identity on natural member-major
-  order (SC/PBW/PBHW/FXP yes, APC no — checked, with silent fallback).
+  the fused engine's single activation gather. It needs the mode's
+  OR-group permutation to be the identity on natural member-major order,
+  which PBHW's taps are (as are SC's, PBW's and FXP's; APC's pairs are
+  not).
 
-Slab budget, channel-block width, spatial chunk and layout are bundled
-in a per-shape plan (:class:`ExecPlan`). A call takes an explicit
-``plan=`` or gets :func:`heuristic_plan`'s rule for its layer shape.
+A call's layout, slab budget and channel-block width come from one
+private rule over its shape (:func:`_plan`); no caller chooses them.
 The slab sweep runs every operand word whatever its value, as GEO's MAC
 rows stream every bit; the one exception is a call whose activation
 values are all zero (serving warm-up feeds such samples). Value 0
@@ -96,7 +96,6 @@ memory of a serial one whatever its shard count.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,7 +128,7 @@ _MIN_SPATIAL_CHUNK = 8
 #: dwarf the actual word operations (measured crossover ≈ 8 members).
 _SMALL_GROUP_OR = 8
 
-#: Slab budget of :func:`heuristic_plan`'s ``s_outer`` plans: that slab
+#: Slab budget of the ``s_outer`` layout (:func:`_plan`): that slab
 #: spans the whole kernel-position extent per spatial column, so the
 #: sweet spot (measured on the CNN-4 PBHW shapes) sits in L3, not L2 — a
 #: tighter budget would shrink the spatial chunk below the long
@@ -140,8 +139,6 @@ _SOUTER_SLAB_BYTES = 1 << 24
 LANE_BITS = 32
 
 _LANE0_MASK = np.uint64((1 << LANE_BITS) - 1)
-
-_PLAN_LAYOUTS = ("auto", "k_inner", "s_outer")
 
 #: Product-count table rule (:func:`_uses_tables`), by OR-group size
 #: ``S``: the table path runs when a call's ``N * P`` positions reach
@@ -155,74 +152,15 @@ _PLAN_LAYOUTS = ("auto", "k_inner", "s_outer")
 _TABLE_RATIO = {1: 3.0, 2: 0.75}
 
 
-@dataclass(frozen=True)
-class ExecPlan:
-    """One execution-geometry choice for :func:`fused_conv_counts`.
-
-    Plans bundle every knob the slab sweep exposes. A call without an
-    explicit plan runs :func:`heuristic_plan`'s choice for its layer
-    shape; tests and benchmarks pass a plan to pin a geometry. The
-    default-constructed plan reproduces the historical fixed geometry.
-
-    Attributes
-    ----------
-    slab_bytes:
-        Product-slab byte budget (cache-residency knob), split evenly
-        among a call's shards in the ``s_outer`` layout.
-    channel_block:
-        Preferred stacked-channel block width ``Mb``; wider blocks
-        amortize re-reads of the gathered activation chunk.
-    spatial_chunk:
-        Explicit spatial chunk width ``Pc``; ``0`` derives it from the
-        slab budget (the historical behaviour).
-    layout:
-        Slab layout: ``"k_inner"`` (permuted gather, kernel positions
-        contiguous) or ``"s_outer"`` (natural order, spatial axis
-        innermost, OR over the outer member axis). ``"auto"`` picks
-        ``s_outer`` for PBHW and ``k_inner`` otherwise; an explicit
-        ``s_outer`` silently falls back to ``k_inner`` for modes whose
-        group permutation is not natural-order (APC). A call the table
-        rule takes ignores the layout and uses only ``slab_bytes``, as
-        its table-build budget.
-    """
-
-    slab_bytes: int = DEFAULT_SLAB_BYTES
-    channel_block: int = _TARGET_CHANNEL_BLOCK
-    spatial_chunk: int = 0
-    layout: str = "auto"
-
-    def __post_init__(self):
-        if self.slab_bytes < 1:
-            raise ConfigurationError(
-                f"slab_bytes must be >= 1, got {self.slab_bytes}"
-            )
-        if self.channel_block < 1:
-            raise ConfigurationError(
-                f"channel_block must be >= 1, got {self.channel_block}"
-            )
-        if self.spatial_chunk < 0:
-            raise ConfigurationError(
-                f"spatial_chunk must be >= 0 (0 = derive), got "
-                f"{self.spatial_chunk}"
-            )
-        if self.layout not in _PLAN_LAYOUTS:
-            raise ConfigurationError(
-                f"unknown plan layout {self.layout!r} (expected one of "
-                f"{_PLAN_LAYOUTS})"
-            )
-
-
-def heuristic_plan(
-    mode: AccumulationMode | str,
-    n: int,
-    cin: int,
-    kh: int,
-    kw: int,
-    cout: int,
-    p: int,
-    words: int,
-) -> ExecPlan:
-    """The plan of every fused call that passes no explicit ``plan``.
+def _plan(
+    mode: AccumulationMode, s: int, cout: int, p: int
+) -> tuple[str, int, int]:
+    """The layout, slab budget and channel-block width of every fused
+    call: ``s`` is the call's OR-group size (:func:`group_structure`),
+    ``p`` its output positions per sample, counted in packed words for a
+    sweep. A call the table rule takes (:func:`_uses_tables`) uses only
+    the slab budget, as its table-build budget. The slab constants are
+    read at call time.
 
     Encodes what slab-geometry sweeps measured on reference hardware
     (see DESIGN §3.6). PBHW runs ``s_outer``. Other modes whose groups
@@ -232,24 +170,10 @@ def heuristic_plan(
     plus a bigger slab, so per-block ufunc dispatch and the epilogue
     amortize over more work. Most FXP and APC calls take the
     product-count tables instead, as do PBHW calls over one or two input
-    channels, and use only their plan's slab budget; the short-group
-    sweep is left with the calls the table rule skips (fc layers, small
-    batches). Long-group modes (SC, PBW) keep the cache-tight historical
-    geometry.
+    channels; the short-group sweep is left with the calls the table
+    rule skips (fc layers, small batches). Long-group modes (SC, PBW)
+    keep the cache-tight historical geometry.
     """
-    mode = AccumulationMode.parse(mode)
-    k = max(1, cin * kh * kw)
-    if mode is AccumulationMode.SC:
-        groups = 1
-    elif mode is AccumulationMode.PBW:
-        groups = kw
-    elif mode is AccumulationMode.PBHW:
-        groups = kh * kw
-    elif mode is AccumulationMode.APC:
-        groups = (k + 1) // 2
-    else:  # FXP: every product its own group
-        groups = k
-    members = max(1, k // max(1, groups))
     if mode is AccumulationMode.PBHW:
         # PBHW's many-short-groups structure loses the k_inner layout's
         # contiguity advantage; the s_outer layout restores the
@@ -257,24 +181,16 @@ def heuristic_plan(
         # whole kernel extent, so it gets an L3-sized budget, and narrow
         # channel blocks measure fastest: wide ones blow the cache (see
         # DESIGN §3.6).
-        if members == 1:
-            block = 2
-        elif p >= 32:
-            block = 4
-        else:
-            block = 1
-        return ExecPlan(
-            slab_bytes=_SOUTER_SLAB_BYTES, channel_block=block,
-            layout="s_outer",
-        )
-    if members <= _SMALL_GROUP_OR:
+        block = 2 if s == 1 else 4 if p >= 32 else 1
+        return "s_outer", _SOUTER_SLAB_BYTES, block
+    if s <= _SMALL_GROUP_OR:
         # Short-group modes: group-count epilogue dominates; trade
         # cache tightness for fewer, wider blocks.
-        return ExecPlan(
-            slab_bytes=4 * DEFAULT_SLAB_BYTES,
-            channel_block=max(_TARGET_CHANNEL_BLOCK, 2 * cout),
+        return (
+            "k_inner", 4 * DEFAULT_SLAB_BYTES,
+            max(_TARGET_CHANNEL_BLOCK, 2 * cout),
         )
-    return ExecPlan()
+    return "k_inner", DEFAULT_SLAB_BYTES, _TARGET_CHANNEL_BLOCK
 
 
 def group_structure(
@@ -326,7 +242,6 @@ def _chunk_sizes(
     p: int,
     slab_bytes: int,
     channel_block: int = _TARGET_CHANNEL_BLOCK,
-    spatial_chunk: int = 0,
 ) -> tuple[int, int]:
     """Spatial / channel-block chunk sizes keeping slabs under budget.
 
@@ -337,18 +252,11 @@ def _chunk_sizes(
 
     Invariants (property-tested): ``1 <= pc <= p``, ``1 <= mb <= m``,
     the slab stays under ``slab_bytes`` unless a single ``(1, 1)`` unit
-    already exceeds it, and in derived mode (``spatial_chunk == 0``)
-    ``pc >= min(p, _MIN_SPATIAL_CHUNK)`` whenever ``mb`` has already
-    been shrunk to 1. An explicit ``spatial_chunk`` is honored exactly
-    (clipped to ``p``) with ``mb`` shrunk to fit the budget.
+    already exceeds it, and ``pc >= min(p, _MIN_SPATIAL_CHUNK)``
+    whenever ``mb`` has already been shrunk to 1.
     """
     per_unit = max(1, n * g * s * words * 8)  # bytes per (m=1, p=1)
     mb = min(m, max(1, channel_block))
-    if spatial_chunk > 0:
-        pc = min(p, spatial_chunk)
-        while mb > 1 and per_unit * mb * pc > slab_bytes:
-            mb = max(1, mb // 2)
-        return pc, mb
     pc = slab_bytes // (per_unit * mb)
     while pc < _MIN_SPATIAL_CHUNK and mb > 1:
         # Tiny spatial chunks multiply per-block dispatch overhead;
@@ -364,44 +272,30 @@ def _chunk_sizes(
 
 
 def _souter_chunks(
-    n: int, m: int, k: int, words: int, p: int, plan: ExecPlan,
-    shards: int = 1,
+    n: int, m: int, k: int, words: int, p: int, slab_bytes: int,
+    channel_block: int, shards: int = 1,
 ) -> tuple[int, int]:
     """Spatial / channel-block chunks for the ``s_outer`` layout.
 
     The slab spans the full kernel-position extent per spatial column
     (``per_unit = n * k * words * 8`` bytes). The budget is
-    ``plan.slab_bytes`` per call: a call sharded ``shards`` ways gives
-    each shard an equal part, so sharding never multiplies the slab
-    memory (the slabs live in the shared last-level cache anyway). The
-    spatial chunk has priority (it sets the AND's stride-0 run length);
-    the channel block shrinks first to fit. Invariants (property-tested):
+    ``slab_bytes`` per call: a call sharded ``shards`` ways gives each
+    shard an equal part, so sharding never multiplies the slab memory
+    (the slabs live in the shared last-level cache anyway). The spatial
+    chunk has priority (it sets the AND's stride-0 run length); the
+    channel block shrinks first to fit. Invariants (property-tested):
     ``1 <= pc <= p``, ``1 <= mb <= m``, and the slab stays within the
     shard's budget unless ``mb == pc == 1``.
     """
     per_unit = max(1, n * k * words * 8)
-    budget = plan.slab_bytes // max(1, shards)
-    mb = min(m, max(1, plan.channel_block))
-    pc = min(p, plan.spatial_chunk) if plan.spatial_chunk > 0 else p
+    budget = slab_bytes // max(1, shards)
+    mb = min(m, max(1, channel_block))
+    pc = p
     while mb > 1 and per_unit * mb * pc > budget:
         mb //= 2
     while pc > 1 and per_unit * mb * pc > budget:
         pc = max(1, pc // 2)
     return pc, mb
-
-
-def _natural_order(group_k: np.ndarray, k: int) -> bool:
-    """True when the OR-group permutation is the identity on natural
-    member-major order — ``group_k[g, s] == s * G + g`` — so the
-    ``s_outer`` layout can consume the operands with no permutation
-    copy. Holds for SC/PBW/PBHW/FXP; APC's pair groups (and sentinel
-    padding) break it."""
-    g, s = group_k.shape
-    if g * s != k:
-        return False
-    return bool(
-        np.array_equal(group_k, np.arange(k, dtype=np.int64).reshape(s, g).T)
-    )
 
 
 def stream_lanes(length: int | None) -> int:
@@ -549,21 +443,21 @@ class _Scratch:
 
     __slots__ = ("pc", "mb", "index", "act", "high", "slab", "merged", "bits")
 
-    def __init__(self, kernel, n, g, s, words, lanes, span, plan, shards):
+    def __init__(
+        self, kernel, n, g, s, words, lanes, span, slab_bytes, block, shards
+    ):
         p_span, m_span = span
         m_total = m_span.stop - m_span.start
         p_total = p_span.stop - p_span.start
         if kernel is _souter_grouped_counts:
             pc, mb = _souter_chunks(
-                n, m_total, g * s, words, p_total, plan, shards
+                n, m_total, g * s, words, p_total, slab_bytes, block, shards
             )
             slab = (n, mb, s, g, pc, words)
             merged = (n, mb, g, pc, words)
         else:
             pc, mb = _chunk_sizes(
-                n, m_total, g, s, words, p_total, plan.slab_bytes,
-                channel_block=plan.channel_block,
-                spatial_chunk=plan.spatial_chunk,
+                n, m_total, g, s, words, p_total, slab_bytes, block
             )
             slab = (n, mb, pc, g, s, words)
             merged = (n, mb, pc, g, words)
@@ -967,21 +861,6 @@ def _count_kernel_ops(
         reg.counter("sc.kernels.table_rows", unit="rows").add(table_rows)
 
 
-def _resolve_layout(
-    plan: ExecPlan, mode: AccumulationMode, natural: bool
-) -> str:
-    """Concrete layout for this call (``auto`` resolution plus the
-    natural-order fallback)."""
-    layout = plan.layout
-    if layout == "auto":
-        layout = (
-            "s_outer" if mode is AccumulationMode.PBHW else "k_inner"
-        )
-    if layout == "s_outer" and not natural:
-        layout = "k_inner"
-    return layout
-
-
 def _shard_spans(
     p: int, m: int, workers: int
 ) -> list[tuple[slice, slice]]:
@@ -1006,7 +885,6 @@ def fused_conv_counts(
     wn: np.ndarray,
     mode: AccumulationMode | str,
     num_workers: int | None = 0,
-    plan: ExecPlan | None = None,
     length: int | None = None,
     stats: dict | None = None,
 ) -> np.ndarray:
@@ -1030,10 +908,6 @@ def fused_conv_counts(
         Shard count (see :mod:`repro.utils.parallel`): ``0`` is the
         process's kernel share, split among the kernel calls running at
         once (:func:`repro.utils.parallel.kernel_call`), ``1`` serial.
-    plan:
-        Explicit :class:`ExecPlan`; ``None`` runs :func:`heuristic_plan`
-        for this call's shape. A call the table rule takes
-        (:func:`_uses_tables`) uses only the plan's slab budget.
     length:
         Stream length of ``table``. It sets the lane count
         (:func:`stream_lanes`): ``<= 32`` packs two output positions
@@ -1050,16 +924,16 @@ def fused_conv_counts(
     numpy.ndarray
         ``(N, Cout, P)`` int64 counts, positive minus negative channel —
         bit-identical to the reference per-channel reduction whichever
-        plan or lane count executes it.
+        layout, shard count or lane count executes it.
     """
     with kernel_call(num_workers) as workers:
         return _fused_conv_counts(
-            table, act_rows, cols, wp, wn, mode, workers, plan, length, stats,
+            table, act_rows, cols, wp, wn, mode, workers, length, stats,
         )
 
 
 def _fused_conv_counts(
-    table, act_rows, cols, wp, wn, mode, workers, plan, length, stats,
+    table, act_rows, cols, wp, wn, mode, workers, length, stats,
 ) -> np.ndarray:
     """:func:`fused_conv_counts` with its shard count resolved."""
     mode = AccumulationMode.parse(mode)
@@ -1096,8 +970,6 @@ def _fused_conv_counts(
 
     lanes = stream_lanes(length)
     if _uses_tables(n, p, values, g, s, words):
-        if plan is None:
-            plan = heuristic_plan(mode, n, cin, kh, kw, cout, p, words)
         # Words of the table build; two lanes halve them, as in a sweep.
         entries = g * values ** s * cout
         built = 2 * entries * words // lanes
@@ -1111,7 +983,7 @@ def _fused_conv_counts(
         )
         counts, shards = _table_conv_counts(
             table, rows_flat, cols_flat, wp, wn, group_k, workers,
-            plan.slab_bytes, lanes,
+            _plan(mode, s, cout, p)[1], lanes,
         )
         if stats is not None:
             stats.update(layout="table", lanes=lanes, shards=shards)
@@ -1119,8 +991,7 @@ def _fused_conv_counts(
 
     cols_lanes = _lane_columns(cols_flat, lanes)  # (N, K, P', lanes)
     p_packed = cols_lanes.shape[2]
-    if plan is None:
-        plan = heuristic_plan(mode, n, cin, kh, kw, cout, p_packed, words)
+    layout, slab_bytes, block = _plan(mode, s, cout, p_packed)
     wstack = np.concatenate(
         [wp.reshape(cout, k, words), wn.reshape(cout, k, words)], axis=0
     )
@@ -1128,7 +999,6 @@ def _fused_conv_counts(
         # Both lanes AND against the same weight stream.
         wstack = wstack | (wstack << np.uint64(LANE_BITS))
     zero_slots = None
-    layout = _resolve_layout(plan, mode, _natural_order(group_k, k))
     if layout == "s_outer":
         kernel = _souter_grouped_counts
         rows_g, cols_g = rows_flat, cols_lanes
@@ -1151,7 +1021,9 @@ def _fused_conv_counts(
     counts = np.empty((n, m, p_packed, lanes), dtype=np.int64)
     spans = _shard_spans(p_packed, m, workers)
     scratch = [
-        _Scratch(kernel, n, g, s, words, lanes, span, plan, len(spans))
+        _Scratch(
+            kernel, n, g, s, words, lanes, span, slab_bytes, block, len(spans)
+        )
         for span in spans
     ]
 
