@@ -135,22 +135,3 @@ class TestStackConsistency:
         )
         out = layer(Tensor(x)).data
         np.testing.assert_array_equal(out, expected)
-
-    def test_accumulate_matches_scnn_reduction(self):
-        """repro.sc.accumulate and the scnn fast path agree bit-for-bit."""
-        from repro.sc.accumulate import AccumulationMode, accumulate_products
-        from repro.sc.streams import StreamBatch
-        from repro.scnn.sim import _reduce_products
-
-        rng = np.random.default_rng(6)
-        bits = rng.integers(0, 2, size=(2, 3, 3, 3, 4, 4, 64), dtype=np.uint8)
-        # (n, Cin, KH, KW, OH, OW, stream)
-        packed = StreamBatch.from_bits(bits).packed
-        for mode in ("sc", "pbw", "pbhw", "fxp", "apc"):
-            fast = _reduce_products(packed, AccumulationMode.parse(mode))
-            # Reference: move spatial axes in front, use the generic API.
-            ref_in = StreamBatch.from_bits(
-                np.moveaxis(bits, (4, 5), (1, 2))
-            )  # (n, OH, OW, Cin, KH, KW, stream)
-            ref = accumulate_products(ref_in, mode, (3, 3, 3))
-            np.testing.assert_array_equal(fast, ref, err_msg=mode)
