@@ -44,11 +44,13 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import site
 import threading
 import time
 
 import numpy as np
 
+import repro
 from repro import obs
 from repro.obs import trace
 from repro.errors import (
@@ -198,6 +200,12 @@ class InThreadBackend(ExecutionBackend):
 #: spans; :func:`_worker_main` sets it once when the worker starts.
 _WORKER_ID = -1
 
+#: The pid of the process that imported this module. A worker forked
+#: from a warm forkserver template inherits the template's pid here; a
+#: worker that had to import the module itself (a cold template, or the
+#: spawn start method) finds its own.
+_IMPORT_PID = os.getpid()
+
 
 def _forward(
     entry: ModelEntry, batch: np.ndarray, tier: int
@@ -220,8 +228,11 @@ def _worker_main(
 
     ``busy_workers`` is how many pool workers compute at once; it sets
     this process's kernel share
-    (:func:`repro.utils.parallel.set_busy_siblings`). Single-threaded
-    request loop over a private duplex pipe. Messages:
+    (:func:`repro.utils.parallel.set_busy_siblings`). The worker first
+    sends ``("ready", worker_id, cold)``: ``cold`` is true when this
+    process imported this module itself instead of inheriting it from
+    its fork template. Then a single-threaded request loop over a
+    private duplex pipe. Messages:
 
     * ``("load", name, model, tiers)`` → ``("loaded", name)`` — cache a
       model (pickled by the parent) as a :class:`ModelEntry` with its
@@ -256,7 +267,7 @@ def _worker_main(
     registry = obs.get_registry()
     entries: dict[str, ModelEntry] = {}
     task_index = 0
-    conn.send(("ready", worker_id))
+    conn.send(("ready", worker_id, os.getpid() == _IMPORT_PID))
     while True:
         try:
             message = conn.recv()
@@ -353,6 +364,28 @@ class _WorkerHandle:
         self.last_ping = now
 
 
+def _export_import_path() -> None:
+    """Put the directory holding the imported ``repro`` package on
+    ``PYTHONPATH``, unless it is there already or is a site directory.
+
+    The forkserver is a fresh interpreter whose ``sys.path`` comes from
+    its environment: CPython 3.11's ``forkserver.main`` ignores the path
+    it is handed, and skips a preload that fails to import. So when
+    ``repro`` is importable here only through a runtime ``sys.path``
+    insert, the fork template would hold neither numpy nor repro, and
+    every worker (re)spawn would import both cold. The forkserver and
+    every later child inherit the variable.
+    """
+    root = os.path.realpath(os.path.dirname(repro.__path__[0]))
+    entries = [
+        entry for entry in os.environ.get("PYTHONPATH", "").split(os.pathsep)
+        if entry
+    ]
+    known = [*entries, *site.getsitepackages(), site.getusersitepackages()]
+    if root not in {os.path.realpath(entry) for entry in known}:
+        os.environ["PYTHONPATH"] = os.pathsep.join([root, *entries])
+
+
 def pool_context():
     """Best multiprocessing context for the pool (forkserver > spawn).
 
@@ -363,9 +396,14 @@ def pool_context():
     a respawn is then a bare ``fork()`` of a warm, thread-free process
     (~tens of ms) instead of a cold interpreter re-importing numpy
     (~seconds), which is what keeps crash recovery cheap under chaos.
+    The template can import this module only if the forkserver's path
+    holds ``repro`` (:func:`_export_import_path`); each worker reports
+    whether it found it there (``cold_spawns`` in
+    :meth:`ProcessPoolBackend.stats`).
     """
     methods = multiprocessing.get_all_start_methods()
     if "forkserver" in methods:
+        _export_import_path()
         ctx = multiprocessing.get_context("forkserver")
         try:
             ctx.set_forkserver_preload(["__main__", "repro.serve.backend"])
@@ -430,6 +468,9 @@ class ProcessPoolBackend(ExecutionBackend):
             "heartbeat_failures": 0,
             "tasks": 0,
             "model_loads": 0,
+            # Workers whose fork template lacked repro, so they
+            # imported numpy and repro from cold.
+            "cold_spawns": 0,
         }
 
     # -- lifecycle -----------------------------------------------------------
@@ -549,6 +590,7 @@ class ProcessPoolBackend(ExecutionBackend):
                 if handle.conn.poll(0):
                     message = handle.conn.recv()
                     if message[0] == "ready":
+                        self.counters["cold_spawns"] += int(message[2])
                         handle.state = _IDLE
                         self._idle.append(handle.id)
                         self._cond.notify_all()

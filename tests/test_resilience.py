@@ -6,7 +6,11 @@ sleeps — the only real processes appear in the process-pool tests
 process lifecycle *is* the property under test.
 """
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import time
 
 import numpy as np
@@ -14,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro import nn, obs, serve
 from repro.errors import (
     CircuitOpenError,
@@ -749,6 +754,35 @@ class TestProcessPoolBackend:
         assert pool_tier == thread_tier == 0
         assert np.array_equal(pool_logits, thread_logits)
         assert not np.array_equal(deep_logits, thread_logits)
+
+    def test_runtime_sys_path_gets_a_warm_template(self, tmp_path):
+        # A process that can import repro only through a sys.path
+        # insert: the forkserver's preload must still find it, or every
+        # worker imports numpy and repro from cold.
+        script = textwrap.dedent(
+            f"""
+            import sys
+            sys.path.insert(0, {os.path.dirname(repro.__path__[0])!r})
+            from repro.serve.backend import ProcessPoolBackend
+
+            backend = ProcessPoolBackend(num_workers=1).start()
+            try:
+                stats = backend.stats()
+            finally:
+                backend.stop()
+            print(stats["start_method"], stats["spawned"], stats["cold_spawns"])
+            """
+        )
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        done = subprocess.run(
+            [sys.executable, "-c", script], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        method, spawned, cold = done.stdout.split()
+        if method != "forkserver":
+            pytest.skip("spawn workers always import from cold")
+        assert (spawned, cold) == ("1", "0")
 
     def test_run_after_stop_raises(self):
         backend = ProcessPoolBackend(num_workers=1)
