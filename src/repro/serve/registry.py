@@ -185,12 +185,13 @@ class ModelRegistry:
         )
 
     def warm(self, entry: ModelEntry) -> None:
-        """Run one dummy sample through every tier, deepest first.
+        """Run one all-zero sample through every tier, deepest first.
 
-        This builds each tier's seed plans and populates the LRU stream
-        -table cache (:mod:`repro.scnn.sim`), so the first real request
-        at any tier — including mid-overload degraded ones — sees
-        steady-state latency. Ends back on tier 0.
+        This builds each tier's seed plans and fills the LRU stream-table
+        cache (:mod:`repro.scnn.sim`), so no request at any tier builds
+        a table. It does not run the kernels: an all-zero sample takes
+        their all-zero early-out, so the first real request still
+        faults in the kernel scratch. Ends back on tier 0.
         """
         with obs.span("serve.warm", model=entry.name, tiers=len(entry.tiers)):
             x = np.zeros((1, *entry.input_shape), dtype=np.float32)
