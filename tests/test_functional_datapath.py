@@ -7,7 +7,7 @@ import pytest
 
 from repro.arch.functional import RowDatapath, segmented_reference
 from repro.arch.geo import GEO_ULP
-from repro.errors import CompilationError
+from repro.errors import CompilationError, ShapeError
 from repro.models.shapes import LayerShape
 from repro.scnn.config import SCConfig
 from repro.utils.bitops import pack_bits
@@ -64,6 +64,16 @@ class TestRowDatapath:
         np.testing.assert_array_equal(
             datapath.run(x, w), datapath.reference(x, w)
         )
+
+    def test_operand_shapes_rejected(self):
+        layer = small_layer()
+        cfg = SCConfig(stream_length=32, stream_length_pooling=32)
+        datapath = RowDatapath(layer, GEO_ULP, cfg)
+        x, w = operands(layer)
+        with pytest.raises(ShapeError):
+            datapath.run(x, w[:, :, :2, :2])
+        with pytest.raises(ShapeError):
+            datapath.run(x[:, :2], w)
 
     def test_split_kernel_rejected(self):
         layer = small_layer(cin=64, cout=2, kernel=5, size=8)  # kv=1600
