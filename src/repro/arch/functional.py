@@ -101,8 +101,11 @@ class RowDatapath:
         return out.reshape(n, layer.out_channels, oh, ow)
 
     def reference(self, x: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        """The algorithmic simulator's output on the same operands."""
-        return self._sim(np.clip(x, 0, 1), np.clip(weight, -1, 1))
+        """The algorithmic simulator's output on the same operands, drawn
+        at call index 0 as :meth:`run` is; the cursor does not move."""
+        x, weight = np.clip(x, 0, 1), np.clip(weight, -1, 1)
+        self._sim._check_shapes(x, weight)
+        return self._sim._forward(self._sim._state, 0, x, weight)
 
 
 def segmented_reference(

@@ -112,6 +112,10 @@ def conv2d(
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """Fully-connected layer. ``x``: (N, Fin); ``weight``: (Fout, Fin)."""
+    if weight.ndim != 2 or x.shape[-1] != weight.shape[1]:
+        raise ShapeError(
+            f"input shape {x.shape} incompatible with weight {weight.shape}"
+        )
     out = x @ weight.transpose()
     if bias is not None:
         out = out + bias

@@ -6,7 +6,9 @@ compute output values, while the floating-point forward pass is used to
 guide back propagation." That is a straight-through estimator at layer
 granularity, implemented here as ``out = y_fp + stop_grad(y_sc - y_fp)``:
 the forward *value* is the bit-true SC simulation, the gradient is the
-ordinary convolution gradient. Determinstic LFSR generation makes the
+ordinary convolution gradient. Under ``no_grad`` (evaluation, serving,
+pool workers) there is no gradient to guide, so only the SC value is
+computed. Determinstic LFSR generation makes the
 fixed SC error learnable; TRNG makes it irreducible noise — which is the
 whole point of Fig. 1.
 """
@@ -22,7 +24,7 @@ from repro.errors import ConfigurationError
 from repro.nn import functional as F
 from repro.nn import init
 from repro.nn.layers import Module
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, is_grad_enabled
 from repro.scnn.config import SCConfig
 from repro.scnn.sim import SCConvSimulator, SCLinearSimulator
 
@@ -130,6 +132,22 @@ class SCModule(Module):
     def set_simulate(self, flag: bool) -> None:
         self.simulate = bool(flag)
 
+    def _forward(self, x: Tensor, fp) -> Tensor:
+        """The layer's output on clipped operands: the SC value with the
+        gradient of ``fp(x, w)``, the FP surrogate.
+
+        The surrogate only guides backpropagation, so under ``no_grad``
+        it is not computed; with simulation off it is the output.
+        """
+        x_c = x.clip(0.0, 1.0)
+        w_c = self.weight.clip(-1.0, 1.0)
+        if not self.simulate:
+            return fp(x_c, w_c)
+        if not is_grad_enabled():
+            return Tensor(_sc_value(self, x_c.data, w_c.data))
+        y_fp = fp(x_c, w_c)
+        return straight_through(y_fp, _sc_value(self, x_c.data, w_c.data))
+
 
 class SCConv2d(SCModule):
     """Convolution executed on the simulated SC datapath.
@@ -174,13 +192,12 @@ class SCConv2d(SCModule):
         )
 
     def forward(self, x: Tensor) -> Tensor:
-        x_c = x.clip(0.0, 1.0)
-        w_c = self.weight.clip(-1.0, 1.0)
-        y_fp = F.conv2d(x_c, w_c, stride=self.stride, padding=self.padding)
-        if not self.simulate:
-            return y_fp
-        y_sc = _sc_value(self, x_c.data, w_c.data)
-        return straight_through(y_fp, y_sc)
+        return self._forward(
+            x,
+            lambda x_c, w_c: F.conv2d(
+                x_c, w_c, stride=self.stride, padding=self.padding
+            ),
+        )
 
 
 class SCLinear(SCModule):
@@ -214,13 +231,7 @@ class SCLinear(SCModule):
         )
 
     def forward(self, x: Tensor) -> Tensor:
-        x_c = x.clip(0.0, 1.0)
-        w_c = self.weight.clip(-1.0, 1.0)
-        y_fp = F.linear(x_c, w_c)
-        if not self.simulate:
-            return y_fp
-        y_sc = _sc_value(self, x_c.data, w_c.data)
-        return straight_through(y_fp, y_sc)
+        return self._forward(x, F.linear)
 
 
 def set_simulation(model: Module, flag: bool) -> None:

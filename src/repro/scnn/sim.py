@@ -39,7 +39,7 @@ import numpy as np
 
 from repro import obs
 from repro.errors import ConfigurationError, ShapeError
-from repro.nn.functional import im2col
+from repro.nn.functional import conv_output_size, im2col
 from repro.sc.accumulate import AccumulationMode, accumulate_products
 from repro.sc.formats import quantize_unipolar
 from repro.sc.kernels import fused_conv_counts
@@ -191,12 +191,6 @@ def stream_table(
     return table, unique
 
 
-def _lookup(table: np.ndarray, unique: np.ndarray, seeds: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Fancy-index packed streams for seed/value arrays (broadcastable)."""
-    rows = np.searchsorted(unique, seeds)
-    return table[rows, q]
-
-
 #: Execution-only knobs that can change without invalidating a
 #: simulator's seed plan or stream tables.
 _EXECUTION_KNOBS = frozenset({"engine", "num_workers", "batch_chunk"})
@@ -211,6 +205,41 @@ _STREAM_KNOBS = frozenset(
 
 
 @dataclass(frozen=True)
+class _SeedRows:
+    """A seed plan resolved once against the stream table it indexes.
+
+    GEO loads its weight SNG buffers once per layer and only streams
+    activations (Sec. III-A), so nothing here changes between forwards:
+    ``seeds`` are the plan's distinct seeds in ascending order (the
+    table's rows), and ``weight_rows`` ``(Cout, Cin, KH, KW)`` and
+    ``act_rows`` ``(Cin, KH, KW)`` are each SNG's row in that table.
+    Weight rows use the narrowest unsigned type that holds a row index:
+    serving keeps a plan per tier, and a LeNet-5 fully connected layer
+    has 94,080 weight SNGs. All three arrays are read-only.
+    """
+
+    plan: SeedPlan
+    seeds: np.ndarray
+    weight_rows: np.ndarray
+    act_rows: np.ndarray
+
+    @classmethod
+    def resolve(cls, plan: SeedPlan) -> "_SeedRows":
+        # One table serves both operand kinds: the plan's seed pools are
+        # disjoint, and the table is indexed by raw seed.
+        seeds = np.unique(
+            np.concatenate([plan.weight_seeds.ravel(), plan.act_seeds.ravel()])
+        )
+        weight_rows = np.searchsorted(seeds, plan.weight_seeds).astype(
+            np.min_scalar_type(seeds.size - 1)
+        )
+        act_rows = np.searchsorted(seeds, plan.act_seeds)
+        for array in (seeds, weight_rows, act_rows):
+            array.setflags(write=False)
+        return cls(plan, seeds, weight_rows, act_rows)
+
+
+@dataclass(frozen=True)
 class _ExecState:
     """Immutable snapshot of everything a forward pass reads from the
     simulator. :meth:`SCConvSimulator.reconfigure` swaps the whole
@@ -221,7 +250,7 @@ class _ExecState:
     cfg: SCConfig
     length: int
     bits: int
-    plan: SeedPlan
+    rows: _SeedRows
 
 
 def _merge_kernel_stats(total: dict, call: dict) -> None:
@@ -272,36 +301,43 @@ class SCConvSimulator:
         self.padding = padding
         self._call_index = 0
         self._lock = threading.Lock()  # guards: _state, _call_index
-        self._plans: dict[int, SeedPlan] = {}  # per-LFSR-width plan cache
-        self._state = _ExecState(
+        self._plans: dict[int, _SeedRows] = {}  # per-LFSR-width plan cache
+        self._state = self._exec_state(cfg)
+
+    def _exec_state(self, cfg: SCConfig) -> _ExecState:
+        bits = cfg.bits_for(self.role)
+        return _ExecState(
             cfg=cfg,
-            length=cfg.length_for(role),
-            bits=cfg.bits_for(role),
-            plan=self._seed_plan(cfg, cfg.bits_for(role)),
+            length=cfg.length_for(self.role),
+            bits=bits,
+            rows=self._seed_plan(cfg, bits),
         )
 
-    def _seed_plan(self, cfg: SCConfig, bits: int) -> SeedPlan:
-        """Seed plan for an LFSR width, cached so tier flips between
-        stream lengths (serving degradation) don't re-plan every time.
+    def _seed_plan(self, cfg: SCConfig, bits: int) -> _SeedRows:
+        """Seed plan for an LFSR width, resolved to its table rows and
+        cached, so tier flips between stream lengths (serving
+        degradation) neither re-plan nor re-resolve.
 
         The plan is built against an LFSR-sized pool so the sharing
         limits ("up to the limit of availability of unique RNG seeds")
         are honored uniformly across RNG kinds.
         """
-        plan = self._plans.get(bits)
-        if plan is None:
+        rows = self._plans.get(bits)
+        if rows is None:
             pool_source = LFSRSource(bits)
-            plan = plan_seeds(
-                cfg.sharing,
-                self.kernel_shape,
-                pool_source
-                if cfg.rng_kind == "lfsr"
-                else _build_source(cfg, bits, self.layer_index, 0),
-                layer_index=self.layer_index,
-                root_seed=cfg.root_seed,
+            rows = _SeedRows.resolve(
+                plan_seeds(
+                    cfg.sharing,
+                    self.kernel_shape,
+                    pool_source
+                    if cfg.rng_kind == "lfsr"
+                    else _build_source(cfg, bits, self.layer_index, 0),
+                    layer_index=self.layer_index,
+                    root_seed=cfg.root_seed,
+                )
             )
-            self._plans[bits] = plan
-        return plan
+            self._plans[bits] = rows
+        return rows
 
     # Read-only views onto the current execution state; each property
     # reads the atomically-swapped snapshot, so consecutive reads during
@@ -322,7 +358,7 @@ class SCConvSimulator:
 
     @property
     def plan(self) -> SeedPlan:
-        return self._state.plan
+        return self._state.rows.plan
 
     # -- call-index state (checkpointing / replicated execution) -------------
 
@@ -394,20 +430,14 @@ class SCConvSimulator:
                 f"place, got {sorted(bad)}"
             )
         with self._lock:
-            cfg = self._state.cfg.with_(**kwargs)
-            bits = cfg.bits_for(self.role)
-            self._state = _ExecState(
-                cfg=cfg,
-                length=cfg.length_for(self.role),
-                bits=bits,
-                plan=self._seed_plan(cfg, bits),
-            )
+            self._state = self._exec_state(self._state.cfg.with_(**kwargs))
 
     # -- forward ---------------------------------------------------------------
 
     def _check_shapes(self, x: np.ndarray, weight: np.ndarray) -> None:
         """Raise :class:`ShapeError` unless ``weight`` has the kernel's
-        shape and ``x`` is ``(N, Cin, H, W)``."""
+        shape and ``x`` is ``(N, Cin, H, W)`` with a non-empty output,
+        before a forward takes its call index."""
         if weight.shape != self.kernel_shape:
             raise ShapeError(
                 f"weight shape {weight.shape} != kernel {self.kernel_shape}"
@@ -417,6 +447,8 @@ class SCConvSimulator:
                 f"input shape {x.shape} incompatible with "
                 f"Cin={self.kernel_shape[1]}"
             )
+        for size, kernel in zip(x.shape[2:], self.kernel_shape[2:]):
+            conv_output_size(size, kernel, self.stride, self.padding)
 
     def _operands(
         self, state: _ExecState, call_index: int, x: np.ndarray,
@@ -427,30 +459,25 @@ class SCConvSimulator:
         the activation SNGs' table rows ``(Cin, KH, KW)``, the packed
         positive and negative weight streams ``(Cout, Cin, KH, KW,
         words)``, and the quantized activations unrolled into ``(N, Cin,
-        KH, KW, OH, OW)`` columns.
+        KH, KW, OH, OW)`` columns. The table rows come from the state's
+        resolved plan; nothing here searches the seeds.
 
         ``x`` and ``weight`` are clipped to ``[0, 1]`` and ``[-1, 1]``
         (±inf saturates); NaN raises :class:`ShapeError`.
         """
-        cfg, length, bits, plan = state.cfg, state.length, state.bits, state.plan
+        cfg, length, bits, rows = state.cfg, state.length, state.bits, state.rows
         _, _, kh, kw = self.kernel_shape
         q_act = quantize_unipolar(x, bits)
         w_clipped = np.clip(weight, -1.0, 1.0)
         q_wpos = quantize_unipolar(np.maximum(w_clipped, 0.0), bits)
         q_wneg = quantize_unipolar(np.maximum(-w_clipped, 0.0), bits)
 
-        # One table serves both operand kinds: the plan's seed pools are
-        # disjoint, and the table is indexed by raw seed.
-        all_seeds = np.concatenate(
-            [plan.weight_seeds.ravel(), plan.act_seeds.ravel()]
-        )
         source = _build_source(cfg, bits, self.layer_index, call_index)
-        table, unique = stream_table(
-            source, bits, length, all_seeds, cfg.progressive
+        table, _ = stream_table(
+            source, bits, length, rows.seeds, cfg.progressive
         )
-        wp = _lookup(table, unique, plan.weight_seeds, q_wpos)
-        wn = _lookup(table, unique, plan.weight_seeds, q_wneg)
-        act_rows = np.searchsorted(unique, plan.act_seeds)
+        wp = table[rows.weight_rows, q_wpos]
+        wn = table[rows.weight_rows, q_wneg]
         # Levels are unrolled in the narrowest type that holds them
         # (uint8 up to 8 bits): the columns and the kernels' copies of
         # them are a forward's largest temporaries.
@@ -459,7 +486,7 @@ class SCConvSimulator:
             cols = im2col(
                 q_act.astype(levels), kh, kw, self.stride, self.padding
             )
-        return table, act_rows, wp, wn, cols
+        return table, rows.act_rows, wp, wn, cols
 
     def __call__(self, x: np.ndarray, weight: np.ndarray) -> np.ndarray:
         """Simulated SC convolution.
@@ -478,7 +505,6 @@ class SCConvSimulator:
             ``(N, Cout, OH, OW)`` float outputs in *linear units*:
             ``counts / stream_length``, positive minus negative channel.
         """
-        cout, cin, kh, kw = self.kernel_shape
         self._check_shapes(x, weight)
 
         # One atomic snapshot: a concurrent reconfigure() swaps
@@ -488,6 +514,16 @@ class SCConvSimulator:
             state = self._state
             call_index = self._call_index
             self._call_index += 1
+        return self._forward(state, call_index, x, weight)
+
+    def _forward(
+        self, state: _ExecState, call_index: int, x: np.ndarray,
+        weight: np.ndarray,
+    ) -> np.ndarray:
+        """:meth:`__call__`'s forward on ``state`` drawn at
+        ``call_index``, on operands already shape-checked; the call
+        index is left as it is."""
+        cout, cin, kh, kw = self.kernel_shape
         cfg, length, bits = state.cfg, state.length, state.bits
 
         reg = obs.get_registry()
@@ -649,7 +685,19 @@ class SCLinearSimulator:
         self._conv.skip_call()
 
     def __call__(self, x: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        """``x``: (N, F) in [0,1]; ``weight``: (Fout, F) in [-1,1]."""
+        """``x``: (N, F) in [0,1]; ``weight``: (Fout, F) in [-1,1].
+
+        Raises :class:`ShapeError` for any other operand shape."""
+        if weight.shape != (self.out_features, self.in_features):
+            raise ShapeError(
+                f"weight shape {weight.shape} != "
+                f"{(self.out_features, self.in_features)}"
+            )
+        if x.ndim != 2 or x.shape[1] != self.in_features:
+            raise ShapeError(
+                f"input shape {x.shape} incompatible with "
+                f"in_features={self.in_features}"
+            )
         n = x.shape[0]
         g = self.binary_groups
         reg = obs.get_registry()

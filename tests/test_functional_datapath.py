@@ -65,6 +65,22 @@ class TestRowDatapath:
             datapath.run(x, w), datapath.reference(x, w)
         )
 
+    def test_fresh_trng_draws_compare_the_same_streams(self):
+        # Both sides draw at call index 0, round after round; the
+        # reference leaves the simulator's cursor where it was.
+        layer = small_layer()
+        cfg = SCConfig(
+            stream_length=32, stream_length_pooling=32, rng_kind="trng",
+            trng_eval_freeze=False,
+        )
+        datapath = RowDatapath(layer, GEO_ULP, cfg)
+        x, w = operands(layer, seed=4)
+        for _ in range(3):
+            np.testing.assert_array_equal(
+                datapath.run(x, w), datapath.reference(x, w)
+            )
+        assert datapath._sim.call_index == 0
+
     def test_operand_shapes_rejected(self):
         layer = small_layer()
         cfg = SCConfig(stream_length=32, stream_length_pooling=32)
@@ -74,6 +90,8 @@ class TestRowDatapath:
             datapath.run(x, w[:, :, :2, :2])
         with pytest.raises(ShapeError):
             datapath.run(x[:, :2], w)
+        with pytest.raises(ShapeError):
+            datapath.reference(x[:, :2], w)
 
     def test_split_kernel_rejected(self):
         layer = small_layer(cin=64, cout=2, kernel=5, size=8)  # kv=1600

@@ -1,12 +1,14 @@
 """Tests for SC layers, straight-through training, and config swapping."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from repro.errors import ShapeError
 from repro.nn import Adam
 from repro.nn import functional as F
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, no_grad
 from repro.scnn import (
     SCConfig,
     SCConv2d,
@@ -162,3 +164,77 @@ class TestSCLayerLearns:
             opt.step()
         acc = F.accuracy(layer(Tensor(x)), y)
         assert acc > 0.8
+
+
+def _lenet5(cfg=CFG):
+    from repro.models import lenet5_sc
+
+    model = lenet5_sc(cfg, num_classes=10, in_channels=1, input_size=16)
+    model.eval()
+    return model
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("FP surrogate ran")
+
+
+class TestInferenceSkipsSurrogate:
+    """Under ``no_grad`` an SC layer computes only its SC value; the FP
+    surrogate runs only when it guides a gradient or is the output."""
+
+    X = np.random.default_rng(8).uniform(0, 1, size=(3, 1, 16, 16))
+
+    def test_no_grad_forward_never_runs_the_surrogate(self, monkeypatch):
+        model = _lenet5()
+        with no_grad():
+            expected = model(Tensor(self.X)).data
+        monkeypatch.setattr(F, "conv2d", _raise)
+        monkeypatch.setattr(F, "linear", _raise)
+        with no_grad():
+            np.testing.assert_array_equal(model(Tensor(self.X)).data, expected)
+
+    def test_grad_forward_runs_the_surrogate(self, monkeypatch):
+        model = _lenet5()
+        with no_grad():
+            expected = model(Tensor(self.X)).data
+        np.testing.assert_array_equal(model(Tensor(self.X)).data, expected)
+        monkeypatch.setattr(F, "conv2d", _raise)
+        with pytest.raises(AssertionError, match="surrogate"):
+            model(Tensor(self.X))
+
+    def test_fp_arm_runs_the_surrogate_under_no_grad(self, monkeypatch):
+        model = _lenet5()
+        set_simulation(model, False)
+        monkeypatch.setattr(F, "linear", _raise)
+        with no_grad(), pytest.raises(AssertionError, match="surrogate"):
+            model(Tensor(self.X))
+
+
+class TestShapeErrorsOnBothPaths:
+    """A malformed operand is a :class:`ShapeError` on both the FP path
+    (grad on) and the SC-only path (``no_grad``), raised before the
+    forward takes its TRNG cursor."""
+
+    @pytest.mark.parametrize("grad", [True, False])
+    @pytest.mark.parametrize("features", [15, 17])
+    def test_wrong_feature_count_raises_shape_error(self, grad, features):
+        layer = SCLinear(16, 4, CFG)
+        x = Tensor(np.random.default_rng(9).uniform(0, 1, size=(3, features)))
+        context = contextlib.nullcontext() if grad else no_grad()
+        with context, pytest.raises(ShapeError, match="16"):
+            layer(x)
+        assert layer.simulator.call_index == 0
+
+    def test_simulator_rejects_a_wrong_weight_shape(self):
+        layer = SCLinear(16, 4, CFG)
+        x = np.random.default_rng(10).uniform(0, 1, size=(3, 16))
+        with pytest.raises(ShapeError, match="weight"):
+            layer.simulator(x, np.zeros((4, 15)))
+
+    @pytest.mark.parametrize("grad", [True, False])
+    def test_kernel_larger_than_input_raises_shape_error(self, grad):
+        layer = SCConv2d(2, 3, 5, CFG)
+        context = contextlib.nullcontext() if grad else no_grad()
+        with context, pytest.raises(ShapeError, match="collapsed"):
+            layer(Tensor(np.zeros((1, 2, 3, 3))))
+        assert layer.simulator.call_index == 0

@@ -665,3 +665,73 @@ class TestKernelStatsAttribution:
                 SCConvSimulator((4, 3, 3, 3), cfg)(batch, w)
                 (profile,) = obs.get_registry().profiles
                 assert [profile[k] for k in self._STAT_KEYS] == ["mixed"] * 3
+
+
+class TestResolvedSeedRows:
+    """Each seed plan is resolved to its stream-table rows once, when
+    the plan is built; forwards only read them."""
+
+    SHAPE = (4, 3, 3, 3)
+
+    def _cfg(self, **kwargs):
+        return SCConfig(stream_length=32, stream_length_pooling=32, **kwargs)
+
+    def test_stream_table_receives_the_plans_unique_seeds(self, monkeypatch):
+        import repro.scnn.sim as sim_module
+
+        seen = []
+
+        def recorder(source, bits, length, seeds, progressive):
+            seen.append(np.array(seeds))
+            return stream_table(source, bits, length, seeds, progressive)
+
+        monkeypatch.setattr(sim_module, "stream_table", recorder)
+        sim = SCConvSimulator(self.SHAPE, self._cfg())
+        x, w = make_inputs(seed=13)
+        sim(x, w)
+        sim(x, w)
+        plan = sim.plan
+        raw = plan.weight_seeds.size + plan.act_seeds.size
+        unique = np.unique(
+            np.concatenate([plan.weight_seeds.ravel(), plan.act_seeds.ravel()])
+        )
+        assert unique.size < raw  # moderate sharing reuses seeds
+        assert len(seen) == 2
+        for seeds in seen:
+            np.testing.assert_array_equal(seeds, unique)
+
+    @pytest.mark.parametrize("rng_kind", ["lfsr", "trng"])
+    def test_reconfigured_forward_equals_a_fresh_simulator(self, rng_kind):
+        cfg = self._cfg(rng_kind=rng_kind)
+        sim = SCConvSimulator(self.SHAPE, cfg, padding=1)
+        x, w = make_inputs(seed=14)
+        for length in (32, 8, 32, 128):
+            sim.reconfigure(stream_length=length, stream_length_pooling=length)
+            fresh = SCConvSimulator(
+                self.SHAPE,
+                cfg.with_(stream_length=length, stream_length_pooling=length),
+                padding=1,
+            )
+            fresh.set_call_index(sim.call_index)
+            np.testing.assert_array_equal(sim(x, w), fresh(x, w))
+
+    def test_pickled_simulator_gives_identical_outputs(self):
+        import pickle
+
+        sim = SCConvSimulator(self.SHAPE, self._cfg(rng_kind="trng"))
+        sim.reconfigure(stream_length=16, stream_length_pooling=16)
+        x, w = make_inputs(seed=15)
+        sim(x, w)
+        copy = pickle.loads(pickle.dumps(sim))
+        assert copy.call_index == sim.call_index
+        np.testing.assert_array_equal(copy(x, w), sim(x, w))
+        for target in (sim, copy):
+            target.reconfigure(stream_length=32, stream_length_pooling=32)
+        np.testing.assert_array_equal(copy(x, w), sim(x, w))
+
+    def test_weight_rows_are_narrow_and_read_only(self):
+        sim = SCConvSimulator(self.SHAPE, self._cfg())
+        rows = sim._state.rows
+        assert rows.weight_rows.dtype == np.uint8
+        for array in (rows.seeds, rows.weight_rows, rows.act_rows):
+            assert not array.flags.writeable
