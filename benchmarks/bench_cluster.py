@@ -188,7 +188,6 @@ def _starvation_pass(manager, scheduler: str) -> dict:
     """Hot flood + cold trickle through one router; cold percentiles."""
     policy = cluster.RouterPolicy(
         scheduler=scheduler,
-        max_queue_per_model=64,
         # One outstanding request per replica: the backlog lives at the
         # router, where the scheduler under test decides who goes next.
         max_inflight_per_replica=1,

@@ -13,7 +13,8 @@ contract:
   families (replica up/health/pending, queue depth, placement width);
 * killing a replica mid-run loses **zero** accepted requests and the
   replica rejoins via warm migration (placement set pre-warmed before
-  readmission).
+  readmission), after which ``/healthz`` and ``cluster_replica_health``
+  report both replicas routable.
 
 Run::
 
@@ -49,6 +50,22 @@ def _post(url: str, model: str, timeout: float = 30.0) -> dict:
     )
     with urllib.request.urlopen(request, timeout=timeout) as response:
         return json.loads(response.read())
+
+
+def _routable(url: str) -> tuple[dict, dict]:
+    """Each replica's routable bit from ``/healthz`` and its
+    ``cluster_replica_health`` sample from ``/metrics``."""
+    with urllib.request.urlopen(f"{url}/healthz", timeout=5) as resp:
+        health = json.loads(resp.read())
+    with urllib.request.urlopen(f"{url}/metrics", timeout=5) as resp:
+        families = parse_prometheus(resp.read().decode())
+    return (
+        {rid: info["routable"] for rid, info in health["replicas"].items()},
+        {
+            labels["replica"]: value
+            for labels, value in families["cluster_replica_health"]
+        },
+    )
 
 
 def run_smoke(requests_per_model: int = 10) -> dict:
@@ -141,6 +158,10 @@ def run_smoke(requests_per_model: int = 10) -> dict:
             f"killed {victim} under load: {counts['ok']} ok, 0 lost, "
             f"warm migrations {int(manager._migrations.value)}"
         )
+        routable, gauge = _routable(url)
+        assert routable == {"r0": True, "r1": True}, routable
+        assert gauge == {"r0": 1.0, "r1": 1.0}, gauge
+        print("after the rejoin both replicas are routable")
         return {
             "served": stats["completed"],
             "killed": victim,

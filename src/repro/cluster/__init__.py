@@ -10,8 +10,10 @@ a full serve stack — registry, batcher, backend, HTTP frontend), and a
   stable replica subset,
 * per-model weighted-fair queueing (:class:`WeightedFairQueue`) so a
   hot model cannot starve the rest,
-* health-scored candidate choice (:class:`ReplicaHealth`: heartbeat
-  freshness × breaker state × SLO burn × error EWMA), and
+* candidate choice within a placement set: routable replicas first
+  (:class:`ReplicaHealth`: alive, admitted, not draining, heard from
+  within the heartbeat timeout), then least inflight load, then
+  placement rank, and
 * warm migration on respawn: a recovered replica re-registers and
   warms its placement set *before* it is readmitted to the ring.
 
@@ -31,7 +33,7 @@ Quickstart::
 Or from the CLI: ``geo-repro cluster --replicas 2``.
 """
 
-from repro.cluster.health import HealthPolicy, ReplicaHealth
+from repro.cluster.health import ReplicaHealth
 from repro.cluster.manager import ClusterModel, ReplicaManager
 from repro.cluster.placement import PlacementRing
 from repro.cluster.router import (
@@ -46,7 +48,6 @@ __all__ = [
     "ClusterModel",
     "ClusterRouter",
     "FIFOQueue",
-    "HealthPolicy",
     "PlacementRing",
     "ReplicaHealth",
     "ReplicaManager",

@@ -1,83 +1,58 @@
-"""Replica health scoring: heartbeat + circuit breaker + SLO burn.
+"""Replica routability: liveness, admission, draining, heartbeat age.
 
-The router needs one number per replica answering "how much should I
-want to route here right now?". :class:`ReplicaHealth` folds the three
-signals the serving stack already produces into a score in ``[0, 1]``:
+The router asks one question per replica: may a request go here now?
+:class:`ReplicaHealth` answers it with :meth:`~ReplicaHealth.routable`,
+a bit built from what the supervisor already learns:
 
-* **Liveness / freshness** — the supervisor's process check and pipe
-  heartbeat (PR 4 machinery). A dead, draining, or not-yet-admitted
-  replica scores 0; a replica whose last heartbeat is going stale
-  decays linearly toward 0 across the timeout window.
-* **Proxy outcomes** — every forwarded request feeds a per-replica
-  :class:`~repro.serve.breaker.CircuitBreaker` (connection failures
-  trip it exactly like worker crashes trip the model breakers) plus an
-  error EWMA that degrades the score smoothly *before* the breaker's
-  hard cutoff.
-* **SLO burn rate** — replicas ship their worst-model burn rate back in
-  heartbeat pongs; a replica burning error budget scores lower, so the
-  router naturally drains traffic off a degrading replica while it is
-  still technically up.
+* **Liveness** — the supervisor's process check; a dead replica also
+  loses its admission.
+* **Admission** — set once a (re)spawned replica reports ``ready``,
+  i.e. after it warmed its whole placement set.
+* **Draining** — self-reported in each heartbeat pong.
+* **Heartbeat age** — a replica not heard from within
+  :data:`HEARTBEAT_TIMEOUT_S` is unroutable.
 
-Scores only rank *candidates within a placement set*; placement itself
-stays consistent (rendezvous hashing) so warm tiers are not thrown away
-every time a score wobbles.
+Every routable replica runs the same bit-true forward, so the router
+ranks a model's placement set by this bit, then by its own inflight
+load, then by placement rank; each replica's degrade controller acts on
+its own SLO burn. Proxy outcomes feed a per-replica
+:class:`~repro.serve.breaker.CircuitBreaker`, which gates each attempt
+(:meth:`~ReplicaHealth.allow`) without changing the ranking.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
 
 from repro.serve.breaker import BreakerPolicy, CircuitBreaker
 
-__all__ = ["HealthPolicy", "ReplicaHealth"]
+__all__ = ["ReplicaHealth"]
 
-
-@dataclass(frozen=True)
-class HealthPolicy:
-    """Tunables for replica health scoring and supervision."""
-
-    #: Supervisor heartbeat period (pipe ping → pong).
-    heartbeat_interval_s: float = 0.25
-    #: A heartbeat older than this marks the replica unhealthy (score 0).
-    heartbeat_timeout_s: float = 2.0
-    #: Per-replica breaker over proxy outcomes. Trips faster than the
-    #: model breakers (3 vs 5): a replica refusing connections is a
-    #: cheaper, more certain signal than a flaky model forward.
-    breaker: BreakerPolicy = field(
-        default_factory=lambda: BreakerPolicy(
-            failure_threshold=3, reset_s=2.0
-        )
-    )
-    #: Error-EWMA smoothing factor (per proxy outcome).
-    ewma_alpha: float = 0.2
-    #: Burn rate at/above which the burn factor bottoms out.
-    burn_ceiling: float = 4.0
+#: Supervisor heartbeat period (pipe ping → pong).
+HEARTBEAT_INTERVAL_S = 0.25
+#: A heartbeat at least this old makes the replica unroutable.
+HEARTBEAT_TIMEOUT_S = 2.0
+#: Per-replica breaker over proxy outcomes. Trips faster than the model
+#: breakers (3 vs 5): a replica refusing connections is a cheaper, more
+#: certain signal than a flaky model forward.
+BREAKER = BreakerPolicy(failure_threshold=3, reset_s=2.0)
 
 
 class ReplicaHealth:
-    """Live health state for one replica, scored on demand."""
+    """Live routing state for one replica."""
 
-    def __init__(
-        self,
-        replica_id: str,
-        policy: "HealthPolicy | None" = None,
-        clock=time.monotonic,
-    ):
+    def __init__(self, replica_id: str, clock=time.monotonic):
         self.replica_id = replica_id
-        self.policy = policy or HealthPolicy()
         self.clock = clock
         self.breaker = CircuitBreaker(
-            f"replica:{replica_id}", self.policy.breaker, clock=clock
+            f"replica:{replica_id}", BREAKER, clock=clock
         )
-        self._lock = threading.Lock()  # guards: _alive, _admitted, _draining, _last_heartbeat, _burn, _error_ewma, _pending
+        self._lock = threading.Lock()  # guards: _alive, _admitted, _draining, _last_heartbeat, _pending
         self._alive = False
         self._admitted = False
         self._draining = False
         self._last_heartbeat: "float | None" = None
-        self._burn = 0.0
-        self._error_ewma = 0.0
         self._pending = 0
 
     # -- signal feeds (supervisor + router call these) -----------------------
@@ -94,24 +69,15 @@ class ReplicaHealth:
         with self._lock:
             self._admitted = admitted
 
-    def note_heartbeat(
-        self,
-        burn: float = 0.0,
-        draining: bool = False,
-        pending: int = 0,
-    ) -> None:
+    def note_heartbeat(self, draining: bool = False, pending: int = 0) -> None:
         """One heartbeat pong with the replica's self-reported state."""
         with self._lock:
             self._last_heartbeat = self.clock()
-            self._burn = burn
             self._draining = draining
             self._pending = pending
 
     def note_result(self, ok: bool) -> None:
         """One proxied request's outcome against this replica."""
-        alpha = self.policy.ewma_alpha
-        with self._lock:
-            self._error_ewma += alpha * ((0.0 if ok else 1.0) - self._error_ewma)
         if ok:
             self.breaker.record_success()
         else:
@@ -129,30 +95,17 @@ class ReplicaHealth:
         exact."""
         self.breaker.refund()
 
-    def score(self, now: "float | None" = None) -> float:
-        """Routing desirability in ``[0, 1]``; 0 = do not route here."""
-        if now is None:
-            now = self.clock()
-        policy = self.policy
+    def routable(self) -> bool:
+        """Alive, admitted, not draining, and heard from within
+        :data:`HEARTBEAT_TIMEOUT_S`."""
         with self._lock:
-            if not self._alive or not self._admitted or self._draining:
-                return 0.0
-            if self._last_heartbeat is None:
-                return 0.0
-            age = now - self._last_heartbeat
-            if age >= policy.heartbeat_timeout_s:
-                return 0.0
-            # Freshness decays only past one interval of silence — a
-            # heartbeat that is merely "due" is not evidence of trouble.
-            overdue = max(0.0, age - policy.heartbeat_interval_s)
-            window = policy.heartbeat_timeout_s - policy.heartbeat_interval_s
-            freshness = 1.0 - overdue / max(window, 1e-9)
-            burn_over = max(0.0, self._burn - 1.0)
-            burn_factor = 1.0 - min(
-                burn_over / max(policy.burn_ceiling - 1.0, 1e-9), 0.75
+            return (
+                self._alive
+                and self._admitted
+                and not self._draining
+                and self._last_heartbeat is not None
+                and self.clock() - self._last_heartbeat < HEARTBEAT_TIMEOUT_S
             )
-            error_factor = 1.0 - self._error_ewma
-            return max(0.0, freshness * burn_factor * error_factor)
 
     def snapshot(self) -> dict:
         with self._lock:
@@ -164,10 +117,8 @@ class ReplicaHealth:
                 "heartbeat_age_s": (
                     None if last is None else self.clock() - last
                 ),
-                "burn_rate": self._burn,
-                "error_ewma": self._error_ewma,
                 "pending": self._pending,
             }
-        state["score"] = self.score()
+        state["routable"] = self.routable()
         state["breaker"] = self.breaker.to_dict()
         return state

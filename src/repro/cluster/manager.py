@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from repro import obs
 from repro.errors import ServeError
-from repro.cluster.health import HealthPolicy, ReplicaHealth
+from repro.cluster.health import HEARTBEAT_INTERVAL_S, ReplicaHealth
 from repro.cluster.placement import PlacementRing
 from repro.serve.backend import pool_context
 from repro.serve.policy import ServePolicy
@@ -114,10 +114,6 @@ def _replica_main(
                 continue
             message = conn.recv()
             if message[0] == "ping":
-                snapshots = service.slo_snapshots()
-                burn = max(
-                    (s["burn_rate"] for s in snapshots), default=0.0
-                )
                 conn.send(
                     (
                         _PONG,
@@ -125,7 +121,6 @@ def _replica_main(
                         {
                             "draining": server.draining,
                             "pending": service.pending(),
-                            "burn": burn,
                             "port": server.port,
                             "models": registry.names(),
                         },
@@ -174,7 +169,6 @@ class ReplicaManager:
         num_replicas: int = 2,
         replication: int = 2,
         policy: "ServePolicy | None" = None,
-        health: "HealthPolicy | None" = None,
         host: str = "127.0.0.1",
         trace_sample: int = 0,
     ):
@@ -185,7 +179,6 @@ class ReplicaManager:
         self.models = list(models)
         self.num_replicas = num_replicas
         self.policy = policy or ServePolicy()
-        self.health_policy = health or HealthPolicy()
         self.host = host
         self.trace_sample = trace_sample
         self.ring = PlacementRing(
@@ -212,7 +205,7 @@ class ReplicaManager:
                 return self
             self._started = True
         for rid in self.ring.members():
-            self._health[rid] = ReplicaHealth(rid, self.health_policy)
+            self._health[rid] = ReplicaHealth(rid)
             self._spawn(rid)
         self._wait_all_ready()
         self._supervisor = threading.Thread(
@@ -322,7 +315,6 @@ class ReplicaManager:
                 elif message[0] == _PONG:
                     state = message[2]
                     health.note_heartbeat(
-                        burn=state.get("burn", 0.0),
                         draining=state.get("draining", False),
                         pending=state.get("pending", 0),
                     )
@@ -330,7 +322,6 @@ class ReplicaManager:
             pass  # death is detected by the liveness poll below
 
     def _supervise(self) -> None:
-        interval = self.health_policy.heartbeat_interval_s
         while True:
             with self._lock:
                 if self._stopping:
@@ -354,7 +345,7 @@ class ReplicaManager:
                         handle.conn.send(("ping", handle.ping_seq))
                     except (BrokenPipeError, OSError):
                         health.note_alive(False)
-            time.sleep(interval)
+            time.sleep(HEARTBEAT_INTERVAL_S)
 
     # -- router-facing queries -----------------------------------------------
 
@@ -392,7 +383,7 @@ class ReplicaManager:
         timeout_s: float = 30.0,
         min_respawns: "int | None" = None,
     ) -> bool:
-        """Block until a (re)spawned replica is admitted again.
+        """Block until a (re)spawned replica is routable again.
 
         After a kill, pass ``min_respawns`` (the respawn count the
         rejoined incarnation must carry) — without it, a call racing the
@@ -408,7 +399,7 @@ class ReplicaManager:
                 and (min_respawns is None or handle.respawns >= min_respawns)
                 and handle.port is not None
                 and handle.process.is_alive()
-                and self._health[rid].score() > 0
+                and self._health[rid].routable()
             ):
                 return True
             time.sleep(0.02)

@@ -84,7 +84,8 @@ class PlacementRing:
         """The model's replica set, highest weight first.
 
         The order is meaningful: index 0 is the model's *primary* — the
-        router prefers earlier entries when health scores tie. Passing
+        router prefers earlier entries among routable replicas with
+        equal inflight load. Passing
         ``members`` computes a hypothetical placement (used to preview
         the set a recovering replica must warm before readmission).
         """

@@ -3,7 +3,7 @@
 Request path::
 
     POST /predict ──> per-model WFQ ──> forwarder threads ──> replica
-         (admission: sub-queue bound → 429)   (health-ranked candidates,
+         (admission: sub-queue bound → 429)   (ranked candidates,
                                                failover across the
                                                placement set)
 
@@ -14,10 +14,10 @@ wrong shapes with the same typed 4xx before anything is queued; an
 admitted request's body is forwarded untouched, and a replica's error
 response is decoded back into its typed error
 (:func:`repro.serve.client.error_from_http`). Scheduling between models
-is weighted-fair (:mod:`repro.cluster.wfq`); candidate choice within a
-model's placement set is by live health score
-(:mod:`repro.cluster.health`) with the rendezvous placement order as
-the tie-break.
+is weighted-fair (:mod:`repro.cluster.wfq`); candidates within a
+model's placement set rank routable first (:mod:`repro.cluster.health`),
+then by the router's inflight load on each, then by rendezvous
+placement rank.
 
 Failure handling distinguishes three classes per attempt:
 
@@ -72,31 +72,30 @@ from repro.serve.service import _Stat, _StatHistogram
 __all__ = ["ClusterRouter", "RouterHTTPServer", "RouterPolicy", "make_router"]
 
 
+#: Bound per model sub-queue; overflow → 429 at the router.
+_MAX_QUEUE_PER_MODEL = 64
+#: Per-attempt proxy timeout.
+_REQUEST_TIMEOUT_S = 30.0
+#: How long a queued request may wait for its answer end-to-end.
+_QUEUE_WAIT_TIMEOUT_S = 30.0
+#: Full candidate-sweep rounds before giving up (covers a respawn).
+_FAILOVER_ROUNDS = 6
+#: Backoff between sweeps (doubles per round, capped at 0.5 s).
+_FAILOVER_BACKOFF_S = 0.05
+#: Retry-After hint on the router's own queue-full and no-replica errors.
+_RETRY_AFTER_S = 0.05
+
+
 @dataclass(frozen=True)
 class RouterPolicy:
     """Tunables for the cluster router."""
 
     #: ``"wfq"`` (weighted-fair, the default) or ``"fifo"`` (control arm).
     scheduler: str = "wfq"
-    #: Per-model WFQ weights; unlisted models weigh 1.0.
-    weights: "dict[str, float] | None" = None
-    #: Bound per model sub-queue; overflow → 429 at the router.
-    max_queue_per_model: int = 64
-    #: Forwarder threads. 0 = auto: replicas × max_inflight_per_replica.
-    forwarders: int = 0
     #: Concurrent proxied requests per replica (beyond it, the router
-    #: prefers another candidate instead of piling on).
+    #: prefers another candidate instead of piling on). The router runs
+    #: replicas × this many forwarder threads.
     max_inflight_per_replica: int = 4
-    #: Per-attempt proxy timeout.
-    request_timeout_s: float = 30.0
-    #: How long a queued request may wait for its answer end-to-end.
-    queue_wait_timeout_s: float = 30.0
-    #: Full candidate-sweep rounds before giving up (covers a respawn).
-    failover_rounds: int = 6
-    #: Backoff between sweeps (doubles per round, capped at 0.5 s).
-    failover_backoff_s: float = 0.05
-    #: Retry-After hint attached to router-side 429s.
-    retry_after_s: float = 0.05
 
 
 class _QueuedRequest:
@@ -131,21 +130,17 @@ class ClusterRouter:
     ):
         self.manager = manager
         self.policy = policy or RouterPolicy()
-        weights = dict(self.policy.weights or {})
-        for spec in manager.models:
-            weights.setdefault(spec.name, spec.weight)
         self._input_shapes = {
             spec.name: tuple(spec.input_shape) for spec in manager.models
         }
         self.scheduler = make_scheduler(
             self.policy.scheduler,
-            max_per_model=self.policy.max_queue_per_model,
-            weights=weights,
+            max_per_model=_MAX_QUEUE_PER_MODEL,
+            weights={spec.name: spec.weight for spec in manager.models},
         )
-        count = self.policy.forwarders or (
+        self._forwarder_count = (
             manager.num_replicas * self.policy.max_inflight_per_replica
         )
-        self._forwarder_count = count
         self._inflight = {
             rid: threading.BoundedSemaphore(
                 self.policy.max_inflight_per_replica
@@ -153,10 +148,10 @@ class ClusterRouter:
             for rid in manager.ring.members()
         }
         self._load_lock = threading.Lock()  # guards: _inflight_load
-        #: Requests currently proxied per replica; equal-score
-        #: candidates are ranked least-loaded first so traffic spreads
-        #: across a healthy placement set instead of queueing on the
-        #: primary's inflight slots.
+        #: Requests currently proxied per replica; routable candidates
+        #: are ranked least-loaded first so traffic spreads across a
+        #: placement set instead of queueing on the primary's inflight
+        #: slots.
         self._inflight_load = {rid: 0 for rid in manager.ring.members()}
         self._stop = threading.Event()
         self._threads: list[threading.Thread] = []
@@ -228,19 +223,19 @@ class ClusterRouter:
             self._rejected.add(1)
             raise QueueFullError(
                 f"router queue for model {model!r} at capacity "
-                f"({self.policy.max_queue_per_model}); retry later",
-                retry_after_s=self.policy.retry_after_s,
+                f"({self.scheduler.max_per_model}); retry later",
+                retry_after_s=_RETRY_AFTER_S,
             )
         self._accepted.add(1)
         obs.gauge("cluster.queue_depth").set(self.scheduler.depth())
         return item
 
-    def _candidates(self, model: str) -> list[tuple[str, str, float]]:
-        """``(replica_id, endpoint, score)`` for the model's placement
-        set, best first: healthiest, then least-loaded, then placement
-        rank. Zero-score replicas stay listed (last) so a sweep can
-        still probe when the whole set looks unhealthy — scores go
-        stale the moment a respawned replica readmits."""
+    def _candidates(self, model: str) -> list[tuple[str, str]]:
+        """``(replica_id, endpoint)`` for the model's placement set,
+        best first: routable, then least inflight load, then placement
+        rank. Unroutable replicas stay listed (last) so a sweep can
+        still probe them when the whole set looks down — the routable
+        bit trails a replica's real state by up to a heartbeat."""
         with self._load_lock:
             load = dict(self._inflight_load)
         ranked = []
@@ -248,12 +243,12 @@ class ClusterRouter:
             endpoint = self.manager.endpoint(rid)
             if endpoint is None:
                 continue
-            score = self.manager.health(rid).score()
+            routable = self.manager.health(rid).routable()
             ranked.append(
-                (-score, load.get(rid, 0), rank, rid, endpoint, score)
+                ((not routable, load.get(rid, 0), rank), rid, endpoint)
             )
         ranked.sort()
-        return [(rid, ep, score) for _, _, _, rid, ep, score in ranked]
+        return [(rid, endpoint) for _, rid, endpoint in ranked]
 
     def _proxy(self, endpoint: str, item: _QueuedRequest):
         """One attempt against one replica; returns the decoded JSON."""
@@ -269,7 +264,7 @@ class ClusterRouter:
         self._proxied.add(1)
         try:
             with urllib.request.urlopen(
-                request, timeout=self.policy.request_timeout_s
+                request, timeout=_REQUEST_TIMEOUT_S
             ) as response:
                 return json.loads(response.read())
         except urllib.error.HTTPError as err:
@@ -289,12 +284,12 @@ class ClusterRouter:
                 item.fail(error)
 
     def _forward(self, model: str, item: _QueuedRequest) -> None:
-        """Route one request: health-ranked sweeps with failover."""
-        deadline = item.enqueued_at + self.policy.queue_wait_timeout_s
+        """Route one request: ranked sweeps with failover."""
+        deadline = item.enqueued_at + _QUEUE_WAIT_TIMEOUT_S
         with trace.scope(item.ctx):
             last_error: "Exception | None" = None
-            backoff = self.policy.failover_backoff_s
-            rounds_left = self.policy.failover_rounds
+            backoff = _FAILOVER_BACKOFF_S
+            rounds_left = _FAILOVER_ROUNDS
             while rounds_left > 0:
                 done, last_error, saturated = self._sweep(
                     model, item, last_error
@@ -324,7 +319,7 @@ class ClusterRouter:
                 else ReplicaUnavailableError(
                     f"no healthy replica for model {model!r} "
                     f"(placement {self.manager.placement(model)})",
-                    retry_after_s=self.policy.retry_after_s,
+                    retry_after_s=_RETRY_AFTER_S,
                 )
             )
 
@@ -340,7 +335,7 @@ class ClusterRouter:
         """
         saturated = False
         candidates = self._candidates(model)
-        for rid, endpoint, score in candidates:
+        for rid, endpoint in candidates:
             health = self.manager.health(rid)
             if not health.allow():
                 continue
@@ -369,7 +364,7 @@ class ClusterRouter:
                 obs.counter("cluster.transport_failures").add(1)
                 last_error = ReplicaUnavailableError(
                     f"replica {rid} unreachable: {error}",
-                    retry_after_s=self.policy.retry_after_s,
+                    retry_after_s=_RETRY_AFTER_S,
                 )
                 continue
             except ReproError as error:
@@ -393,7 +388,7 @@ class ClusterRouter:
         if not candidates:
             last_error = ReplicaUnavailableError(
                 f"no ready replica for model {model!r}",
-                retry_after_s=self.policy.retry_after_s,
+                retry_after_s=_RETRY_AFTER_S,
             )
         return False, last_error, saturated
 
@@ -429,7 +424,9 @@ class ClusterRouter:
             snap = health.snapshot()
             up = 1.0 if snap["alive"] and snap["admitted"] else 0.0
             up_samples.append(({"replica": rid}, up))
-            health_samples.append(({"replica": rid}, snap["score"]))
+            health_samples.append(
+                ({"replica": rid}, float(snap["routable"]))
+            )
             pending_samples.append(
                 ({"replica": rid}, float(snap["pending"]))
             )
@@ -453,7 +450,8 @@ class ClusterRouter:
             },
             "cluster_replica_health": {
                 "type": "gauge",
-                "help": "Replica routing score in [0,1] (0 = unroutable).",
+                "help": "1 when the replica is routable: alive, admitted, "
+                "not draining and heard from within the heartbeat timeout.",
                 "samples": health_samples,
             },
             "cluster_replica_pending": {
@@ -551,7 +549,10 @@ class RouterHTTPServer(HTTPFrontend):
             "status": "ok",
             "role": "router",
             "replicas": {
-                rid: {"endpoint": ep, "score": manager.health(rid).score()}
+                rid: {
+                    "endpoint": ep,
+                    "routable": manager.health(rid).routable(),
+                }
                 for rid, ep in manager.endpoints().items()
             },
             "models": sorted(m.name for m in manager.models),
@@ -572,10 +573,9 @@ class RouterHTTPServer(HTTPFrontend):
     def predict(self, model, inputs, deadline_s, body):
         router = self.router
         item = router.submit(model, body, ctx=trace.current())
-        if not item.event.wait(router.policy.queue_wait_timeout_s):
+        if not item.event.wait(_QUEUE_WAIT_TIMEOUT_S):
             raise DeadlineExceededError(
-                "router gave up after "
-                f"{router.policy.queue_wait_timeout_s:.1f}s"
+                f"router gave up after {_QUEUE_WAIT_TIMEOUT_S:.1f}s"
             )
         if item.error is not None:
             raise item.error

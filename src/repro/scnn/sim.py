@@ -436,8 +436,9 @@ class SCConvSimulator:
 
     def _check_shapes(self, x: np.ndarray, weight: np.ndarray) -> None:
         """Raise :class:`ShapeError` unless ``weight`` has the kernel's
-        shape and ``x`` is ``(N, Cin, H, W)`` with a non-empty output,
-        before a forward takes its call index."""
+        shape, ``x`` is ``(N, Cin, H, W)`` with a non-empty output and
+        neither holds NaN, before a forward takes its call index (so a
+        rejected forward leaves the TRNG cursor where it was)."""
         if weight.shape != self.kernel_shape:
             raise ShapeError(
                 f"weight shape {weight.shape} != kernel {self.kernel_shape}"
@@ -449,6 +450,12 @@ class SCConvSimulator:
             )
         for size, kernel in zip(x.shape[2:], self.kernel_shape[2:]):
             conv_output_size(size, kernel, self.stride, self.padding)
+        for name, values in (("input", x), ("weight", weight)):
+            nan = np.count_nonzero(np.isnan(values))
+            if nan:
+                raise ShapeError(
+                    f"{nan} of {values.size} {name} values are NaN"
+                )
 
     def _operands(
         self, state: _ExecState, call_index: int, x: np.ndarray,
@@ -463,7 +470,7 @@ class SCConvSimulator:
         resolved plan; nothing here searches the seeds.
 
         ``x`` and ``weight`` are clipped to ``[0, 1]`` and ``[-1, 1]``
-        (±inf saturates); NaN raises :class:`ShapeError`.
+        (±inf saturates); :meth:`_check_shapes` has rejected NaN.
         """
         cfg, length, bits, rows = state.cfg, state.length, state.bits, state.rows
         _, _, kh, kw = self.kernel_shape

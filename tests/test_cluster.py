@@ -1,8 +1,8 @@
 """Tests for :mod:`repro.cluster`: placement, WFQ, health, and the
 router end to end.
 
-The pure pieces (rendezvous hashing, virtual-time WFQ, health scoring)
-are tested sleep-free with fake clocks. The end-to-end section boots
+The pure pieces (rendezvous hashing, virtual-time WFQ, the routable
+bit and candidate ranking) are tested sleep-free with fake clocks. The end-to-end section boots
 one real cluster — two replica processes behind the router — once per
 module and drives it over HTTP, including the edge validation both
 frontends share (run against the router and a serve frontend over the
@@ -22,14 +22,13 @@ import numpy as np
 import pytest
 
 from repro import cluster, obs, serve
-from repro.cluster.health import HealthPolicy, ReplicaHealth
+from repro.cluster.health import HEARTBEAT_TIMEOUT_S, ReplicaHealth
 from repro.cluster.placement import PlacementRing
 from repro.cluster.wfq import FIFOQueue, WeightedFairQueue, make_scheduler
 from repro.cluster.workload import FixedServiceModel, fixed_service_model
 from repro.errors import QueueFullError, UnknownModelError
 from repro.obs import trace
 from repro.serve import HTTPClient
-from repro.serve.breaker import BreakerPolicy
 
 
 class FakeClock:
@@ -163,84 +162,136 @@ class TestWeightedFairQueue:
 
 
 class TestReplicaHealth:
-    def policy(self, **kw):
-        defaults = dict(
-            heartbeat_interval_s=1.0,
-            heartbeat_timeout_s=5.0,
-            breaker=BreakerPolicy(failure_threshold=3, reset_s=2.0),
-        )
-        defaults.update(kw)
-        return HealthPolicy(**defaults)
+    """The routable bit: alive, admitted, not draining, and heard from
+    within the heartbeat timeout."""
+
+    def live(self, clock):
+        h = ReplicaHealth("r0", clock=clock)
+        h.note_alive(True)
+        h.note_admitted(True)
+        h.note_heartbeat()
+        return h
 
     def test_unadmitted_or_dead_scores_zero(self):
         clock = FakeClock()
-        h = ReplicaHealth("r0", self.policy(), clock=clock)
-        assert h.score() == 0.0  # never heard from
+        h = ReplicaHealth("r0", clock=clock)
+        assert not h.routable()  # never heard from
         h.note_alive(True)
         h.note_heartbeat()
-        assert h.score() == 0.0  # alive but not admitted
+        assert not h.routable()  # alive but not admitted
         h.note_admitted(True)
-        assert h.score() == 1.0
+        assert h.routable()
         h.note_alive(False)
-        assert h.score() == 0.0  # death also revokes admission
+        assert not h.routable()  # death also revokes admission
 
     def test_draining_scores_zero(self):
-        clock = FakeClock()
-        h = ReplicaHealth("r0", self.policy(), clock=clock)
-        h.note_alive(True)
-        h.note_admitted(True)
+        h = self.live(FakeClock())
         h.note_heartbeat(draining=True)
-        assert h.score() == 0.0
+        assert not h.routable()
 
-    def test_stale_heartbeat_decays_then_zeroes(self):
+    def test_routable_until_heartbeat_timeout(self):
         clock = FakeClock()
-        h = ReplicaHealth("r0", self.policy(), clock=clock)
-        h.note_alive(True)
-        h.note_admitted(True)
+        h = self.live(clock)
+        clock.advance(HEARTBEAT_TIMEOUT_S - 0.5)  # late, within the timeout
+        assert h.routable()
+        clock.advance(0.5)  # at the timeout: unroutable
+        assert not h.routable()
         h.note_heartbeat()
-        assert h.score() == 1.0
-        clock.advance(0.5)  # within one interval: still perfect
-        assert h.score() == 1.0
-        clock.advance(2.5)  # overdue: decaying
-        assert 0.0 < h.score() < 1.0
-        clock.advance(3.0)  # past the timeout: unroutable
-        assert h.score() == 0.0
+        assert h.routable()
 
-    def test_burn_rate_lowers_score(self):
+    def test_errors_trip_breaker(self):
         clock = FakeClock()
-        h = ReplicaHealth("r0", self.policy(), clock=clock)
-        h.note_alive(True)
-        h.note_admitted(True)
-        h.note_heartbeat(burn=0.5)
-        baseline = h.score()
-        h.note_heartbeat(burn=3.0)
-        assert h.score() < baseline
-        assert h.score() > 0.0  # burning budget degrades, never kills
-
-    def test_errors_degrade_score_and_trip_breaker(self):
-        clock = FakeClock()
-        h = ReplicaHealth("r0", self.policy(), clock=clock)
-        h.note_alive(True)
-        h.note_admitted(True)
-        h.note_heartbeat()
+        h = self.live(clock)
         assert h.allow()
         for _ in range(3):
             h.note_result(ok=False)
-        assert h.score() < 1.0
         assert not h.allow()  # breaker open after 3 failures
+        assert h.routable()  # the breaker gates attempts, not the rank
         clock.advance(2.5)
         assert h.allow()  # half-open probe after reset_s
         h.note_result(ok=True)
         assert h.allow()
 
     def test_snapshot_shape(self):
-        h = ReplicaHealth("r0", self.policy(), clock=FakeClock())
+        h = ReplicaHealth("r0", clock=FakeClock())
         snap = h.snapshot()
-        for key in (
-            "alive", "admitted", "draining", "heartbeat_age_s",
-            "burn_rate", "error_ewma", "pending", "score", "breaker",
-        ):
-            assert key in snap
+        assert set(snap) == {
+            "alive", "admitted", "draining", "heartbeat_age_s", "pending",
+            "routable", "breaker",
+        }
+        assert snap["routable"] is False
+
+
+class _StubManager:
+    """The slice of :class:`~repro.cluster.ReplicaManager` the router
+    reads, over real :class:`ReplicaHealth` objects."""
+
+    models = ()
+
+    def __init__(self, healths: "dict[str, ReplicaHealth]"):
+        self.healths = healths
+        self.num_replicas = len(healths)
+        self.ring = PlacementRing(list(healths))
+
+    def placement(self, model: str) -> list[str]:
+        return list(self.healths)  # insertion order is placement rank
+
+    def endpoint(self, rid: str) -> str:
+        return f"http://127.0.0.1:1/{rid}"
+
+    def health(self, rid: str) -> ReplicaHealth:
+        return self.healths[rid]
+
+
+class TestCandidateRanking:
+    """``ClusterRouter._candidates`` ranks by (routable, inflight load,
+    placement rank); heartbeat age within the timeout does not count."""
+
+    def router(self, clock, ages, load=None):
+        """Routable replicas ``r0``.. whose last heartbeats are ``ages``
+        seconds old, with ``load`` requests in flight each."""
+        healths = {}
+        for i, age in enumerate(ages):
+            h = ReplicaHealth(f"r{i}", clock=clock)
+            h.note_alive(True)
+            h.note_admitted(True)
+            clock.now -= age
+            h.note_heartbeat()
+            clock.now += age
+            healths[f"r{i}"] = h
+        router = cluster.ClusterRouter(_StubManager(healths))
+        for rid, inflight in (load or {}).items():
+            router._inflight_load[rid] = inflight
+        return router
+
+    def order(self, router) -> list[str]:
+        return [candidate[0] for candidate in router._candidates("m")]
+
+    def test_idle_replica_beats_a_fresher_busy_one(self):
+        """Heartbeat jitter must not outrank load: the primary's pong
+        is 40 ms fresher, but it has a request in flight."""
+        router = self.router(FakeClock(), (0.26, 0.30), load={"r0": 1})
+        assert self.order(router) == ["r1", "r0"]
+
+    def test_equal_load_falls_back_to_placement_rank(self):
+        router = self.router(FakeClock(), (0.30, 0.26))
+        assert self.order(router) == ["r0", "r1"]
+        router._inflight_load.update(r0=2, r1=2)
+        assert self.order(router) == ["r0", "r1"]
+
+    def test_unroutable_replicas_rank_last_and_stay_listed(self):
+        ages = (0.0, 0.0, 0.0, HEARTBEAT_TIMEOUT_S, 0.0)  # r3 timed out
+        router = self.router(FakeClock(), ages, load={"r4": 3})
+        healths = router.manager.healths
+        healths["r0"].note_alive(False)  # dead
+        healths["r1"].note_admitted(False)  # respawned, still warming
+        healths["r2"].note_heartbeat(draining=True)
+        assert [h.routable() for h in healths.values()] == [
+            False, False, False, False, True,
+        ]
+        assert self.order(router) == ["r4", "r0", "r1", "r2", "r3"]
+        router._inflight_load["r0"] = 5
+        assert self.order(router) == ["r4", "r1", "r2", "r3", "r0"]
 
 
 # -- end to end: two replica processes behind the router ----------------------
@@ -488,14 +539,12 @@ class TestClusterEndToEnd:
         ]
         assert router_spans and replica_spans
 
-    def test_router_queue_full_backpressure(self, cluster_stack):
+    def test_router_queue_full_backpressure(self, cluster_stack, monkeypatch):
         """An unstarted router (no forwarders draining) rejects at the
         per-model bound with a retry hint."""
         manager = cluster_stack["manager"]
-        idle = cluster.ClusterRouter(
-            manager,
-            policy=cluster.RouterPolicy(max_queue_per_model=2),
-        )
+        monkeypatch.setattr(cluster.router, "_MAX_QUEUE_PER_MODEL", 2)
+        idle = cluster.ClusterRouter(manager)
         body = b"{}"
         idle.submit("alpha", body)
         idle.submit("alpha", body)

@@ -238,3 +238,20 @@ class TestShapeErrorsOnBothPaths:
         with context, pytest.raises(ShapeError, match="collapsed"):
             layer(Tensor(np.zeros((1, 2, 3, 3))))
         assert layer.simulator.call_index == 0
+
+    def test_nan_forward_leaves_the_trng_cursor(self):
+        """A forward rejected for NaN draws no streams: with fresh TRNG
+        draws, the next clean forward is a fresh layer's first."""
+        cfg = CFG.with_(rng_kind="trng", trng_eval_freeze=False)
+        layer = SCConv2d(2, 3, 3, cfg, padding=1)
+        x = np.random.default_rng(11).uniform(0, 1, size=(2, 2, 5, 5))
+        bad = x.copy()
+        bad[1, 0, 2, 2] = np.nan
+        for context in (contextlib.nullcontext(), no_grad()):
+            with context, pytest.raises(ShapeError, match="1 of"):
+                layer(Tensor(bad))
+        assert layer.simulator.call_index == 0
+        with no_grad():
+            y = layer(Tensor(x)).data
+            first = SCConv2d(2, 3, 3, cfg, padding=1)(Tensor(x)).data
+        np.testing.assert_array_equal(y, first)
