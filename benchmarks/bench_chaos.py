@@ -97,7 +97,6 @@ def _build_service(
         max_wait_s=0.002,
         max_queue=128,
         default_deadline_s=DEADLINE_S,
-        num_tiers=1,
         batch_timeout_s=2.0,  # converts a wedged worker into a retry
         # Tight backoff: a crashed batch re-runs almost immediately (the
         # surviving worker picks it up while the supervisor respawns).
@@ -172,7 +171,7 @@ def _parity_check(registry: serve.ModelRegistry, samples: int = 4) -> dict:
     for kind in ("thread", "process"):
         backend = serve.make_backend(kind, num_workers=NUM_WORKERS)
         policy = serve.ServePolicy(
-            max_batch=1, max_wait_s=0.0, default_deadline_s=None, num_tiers=1
+            max_batch=1, max_wait_s=0.0, default_deadline_s=None
         )
         service = serve.InferenceService(
             registry, policy=policy, backend=backend

@@ -80,7 +80,6 @@ def _replica_policy() -> ServePolicy:
         max_wait_s=0.0,
         max_queue=64,
         default_deadline_s=None,
-        num_tiers=1,
     )
 
 

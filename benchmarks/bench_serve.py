@@ -84,7 +84,6 @@ def _build_service(batching: bool) -> serve.InferenceService:
         max_wait_s=0.002 if batching else 0.0,
         max_queue=128,
         default_deadline_s=None,  # measure latency, don't shed it
-        num_tiers=1,
     )
     return serve.InferenceService(registry, policy)
 

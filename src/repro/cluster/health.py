@@ -15,7 +15,7 @@ a bit built from what the supervisor already learns:
 Every routable replica runs the same bit-true forward, so the router
 ranks a model's placement set by this bit, then by its own inflight
 load, then by placement rank; each replica's degrade controller acts on
-its own SLO burn. Proxy outcomes feed a per-replica
+its own queue depth. Proxy outcomes feed a per-replica
 :class:`~repro.serve.breaker.CircuitBreaker`, which gates each attempt
 (:meth:`~ReplicaHealth.allow`) without changing the ranking.
 """

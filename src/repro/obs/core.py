@@ -203,8 +203,8 @@ class Histogram:
         Linear interpolation inside the bucket holding the target rank,
         using the observed min/max as the outermost edges; ``None`` on an
         empty histogram. The estimate's resolution is the bucket width —
-        good enough for latency-aware degrade decisions and benchmark
-        gates, which compare against thresholds far wider than a bucket.
+        good enough for dashboards and benchmark gates, which compare
+        against thresholds far wider than a bucket.
         """
         if not 0.0 <= q <= 100.0:
             raise ValueError(f"percentile must be in [0, 100], got {q}")

@@ -1,6 +1,6 @@
 """Batched SC inference serving: registry, micro-batcher, admission
-control, degrade-under-load, resilient execution backends, and a stdlib
-HTTP frontend.
+control, queue-depth degrade, resilient execution backends, and a
+stdlib HTTP frontend.
 
 Quickstart (in-process)::
 

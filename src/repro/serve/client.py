@@ -37,6 +37,7 @@ import numpy as np
 from repro.errors import (
     CircuitOpenError,
     QueueFullError,
+    ReplicaUnavailableError,
     ServeError,
     ServiceDrainingError,
 )
@@ -47,7 +48,14 @@ from repro.utils.retry import RetryPolicy, call_with_retry
 
 #: Transient shedding worth retrying (here) or failing over (at the
 #: router), not request defects: a 400/404 fails identically every time.
-BACKPRESSURE = (QueueFullError, CircuitOpenError, ServiceDrainingError)
+#: Only the router raises :class:`ReplicaUnavailableError` (a replica
+#: never does), so the router's own failover never meets it.
+BACKPRESSURE = (
+    QueueFullError,
+    CircuitOpenError,
+    ReplicaUnavailableError,
+    ServiceDrainingError,
+)
 
 
 def retry_after_from_headers(headers) -> float | None:

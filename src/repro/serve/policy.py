@@ -2,46 +2,28 @@
 -under-load hysteresis.
 
 :class:`ServePolicy` is the one knob bundle a deployment tunes; the
-:class:`DegradeController` turns load observations into stream-length
-tier decisions. Degradation exploits the accuracy/latency trade-off
-unique to stochastic computing — halving every stream length roughly
-halves the bit-ops per MAC — so under overload the service sheds
-*precision* before it sheds *requests*, and every degraded response is
-flagged with the tier it was computed at.
+:class:`DegradeController` turns queue depth into stream-length tier
+decisions. Each tier halves every stream length, so under overload the
+service sheds *precision* before it sheds *requests*, and every
+degraded response is flagged with the tier it was computed at.
 
-Three overload signals feed the controller:
+Queue depth is the only signal, with classic watermark + cooldown
+hysteresis:
 
-* **queue depth** — the classic watermark pair
-  (``degrade_high_watermark`` / ``degrade_low_watermark``);
-* **observed batch latency** — the p95 over a sliding window of recent
-  batch execution times (``degrade_latency_p95_ms``). Queue depth is a
-  *leading* indicator that only fires once requests pile up; latency is
-  the *direct* SLO signal and catches slowdowns that never build a deep
-  queue (e.g. a degraded worker pool serving a steady trickle);
-* **SLO burn rate** — the multi-window error-budget burn from
-  :class:`~repro.serve.slo.SLOTracker`. Depth and p95 are *mechanism*
-  signals; burn is the *objective* signal — it fires when the service is
-  actually missing its promises (late or failed answers), whatever the
-  mechanism, and it only fires when both the short and long windows
-  agree, so it is the least flappy of the three.
+* depth ``>=`` ``degrade_high_watermark`` → step one tier *down*
+  (shorter streams), at most once per ``cooldown_s``;
+* depth ``<=`` ``degrade_low_watermark`` → step one tier *up*, also
+  cooldown-gated, so a brief dip doesn't flap the service back into the
+  slow configuration it just escaped.
 
-Hysteresis rules (classic watermark + cooldown):
-
-* overloaded (depth ``>=`` high watermark **or** windowed p95 ``>=``
-  latency watermark **or** burn ``>=`` the SLO's fast-burn threshold)
-  → step one tier *down* (shorter streams), at most once per
-  ``cooldown_s``;
-* recovered (depth ``<=`` low watermark **and** p95 back under
-  ``latency_recovery_ratio`` × the latency watermark **and** burn back
-  within budget, ``<= 1.0``) → step one tier *up*, also cooldown-gated,
-  so a brief dip doesn't flap the service back into the slow
-  configuration it just escaped.
+Latency and SLO burn do not vote. A late request at an empty queue is
+not overload, and a shorter stream answers from a configuration the
+model was never trained for; the SLO tracker is telemetry only.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, field
 
 from repro import obs
@@ -49,11 +31,6 @@ from repro.errors import ConfigurationError
 from repro.serve.breaker import BreakerPolicy
 from repro.serve.slo import SLOPolicy
 from repro.utils.retry import RetryPolicy
-
-#: Minimum windowed-latency samples before the p95 signal is trusted;
-#: below this the controller is depth-only (one slow warm-up batch must
-#: not degrade the whole model).
-MIN_LATENCY_SAMPLES = 4
 
 
 @dataclass(frozen=True)
@@ -64,22 +41,16 @@ class ServePolicy:
     max_wait_s: float = 0.005  # oldest-request flush timer
     max_queue: int = 64  # admission control: queue bound
     default_deadline_s: float | None = 2.0  # per-request deadline fallback
-    num_tiers: int = 3  # stream-length degrade ladder depth
     degrade_high_watermark: int = 16  # queue depth that degrades
     degrade_low_watermark: int = 2  # queue depth that recovers
     cooldown_s: float = 0.25  # min time between tier changes
     dispatch_workers: int = 0  # pool size for batch dispatch (0 = auto)
-    # -- latency-aware degrade ----------------------------------------------
-    degrade_latency_p95_ms: float | None = None  # p95 that degrades (None=off)
-    latency_recovery_ratio: float = 0.5  # p95 must drop below ratio*threshold
-    latency_window: int = 64  # batches in the sliding p95 window
     # -- execution resilience ------------------------------------------------
     batch_timeout_s: float | None = 10.0  # per-attempt execution timeout
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     breaker: BreakerPolicy = field(default_factory=BreakerPolicy)
-    # -- service-level objectives --------------------------------------------
+    # -- service-level objectives (telemetry) --------------------------------
     slo: SLOPolicy | None = field(default_factory=SLOPolicy)  # None = untracked
-    degrade_on_slo_burn: bool = True  # feed burn rate into the controller
 
     def __post_init__(self):
         if self.max_batch < 1:
@@ -93,25 +64,11 @@ class ServePolicy:
             raise ConfigurationError("durations must be >= 0")
         if self.default_deadline_s is not None and self.default_deadline_s <= 0:
             raise ConfigurationError("default_deadline_s must be positive")
-        if self.num_tiers < 1:
-            raise ConfigurationError("num_tiers must be >= 1")
         if not 0 <= self.degrade_low_watermark < self.degrade_high_watermark:
             raise ConfigurationError(
                 "need 0 <= degrade_low_watermark < degrade_high_watermark, "
                 f"got {self.degrade_low_watermark} / "
                 f"{self.degrade_high_watermark}"
-            )
-        if (
-            self.degrade_latency_p95_ms is not None
-            and self.degrade_latency_p95_ms <= 0
-        ):
-            raise ConfigurationError("degrade_latency_p95_ms must be positive")
-        if not 0.0 < self.latency_recovery_ratio <= 1.0:
-            raise ConfigurationError("latency_recovery_ratio must be in (0, 1]")
-        if self.latency_window < MIN_LATENCY_SAMPLES:
-            raise ConfigurationError(
-                f"latency_window must be >= {MIN_LATENCY_SAMPLES}, "
-                f"got {self.latency_window}"
             )
         if self.batch_timeout_s is not None and self.batch_timeout_s <= 0:
             raise ConfigurationError("batch_timeout_s must be positive or None")
@@ -131,11 +88,9 @@ class ServePolicy:
 class DegradeController:
     """Watermark/cooldown hysteresis over one model's tier ladder.
 
-    Pure decision logic: :meth:`observe` maps ``(queue depth, windowed
-    batch-latency p95, now)`` to the tier the model *should* be on; the
-    caller applies it. Keeping the clock injectable makes the hysteresis
-    testable without sleeps. The dispatcher feeds execution times in via
-    :meth:`note_latency` after every batch.
+    Pure decision logic: :meth:`observe` maps ``(queue depth, now)`` to
+    the tier the model *should* be on; the caller applies it. Keeping
+    the clock injectable makes the hysteresis testable without sleeps.
     """
 
     def __init__(
@@ -150,107 +105,27 @@ class DegradeController:
         self.tier = 0
         self._last_change: float | None = None
         self.transitions = 0
-        self._latencies: deque[float] = deque(maxlen=policy.latency_window)
 
-    # -- latency signal ------------------------------------------------------
-
-    def note_latency(self, batch_latency_ms: float) -> None:
-        """Record one batch's execution latency into the sliding window."""
-        self._latencies.append(float(batch_latency_ms))
-
-    def latency_p95(self) -> float | None:
-        """Windowed p95 (``None`` until :data:`MIN_LATENCY_SAMPLES`)."""
-        if len(self._latencies) < MIN_LATENCY_SAMPLES:
-            return None
-        ordered = sorted(self._latencies)
-        rank = max(0, int(0.95 * len(ordered) + 0.5) - 1)
-        return ordered[rank]
-
-    # -- decision ------------------------------------------------------------
-
-    def _burn_threshold(self) -> float | None:
-        if not self.policy.degrade_on_slo_burn or self.policy.slo is None:
-            return None
-        return self.policy.slo.fast_burn_threshold
-
-    def _overloaded(
-        self,
-        depth: int,
-        p95_ms: float | None,
-        burn_rate: float | None = None,
-    ) -> bool:
-        if depth >= self.policy.degrade_high_watermark:
-            return True
-        burn_threshold = self._burn_threshold()
-        if (
-            burn_threshold is not None
-            and burn_rate is not None
-            and burn_rate >= burn_threshold
-        ):
-            return True
-        threshold = self.policy.degrade_latency_p95_ms
-        return (
-            threshold is not None
-            and p95_ms is not None
-            and p95_ms >= threshold
-        )
-
-    def _recovered(
-        self,
-        depth: int,
-        p95_ms: float | None,
-        burn_rate: float | None = None,
-    ) -> bool:
-        if depth > self.policy.degrade_low_watermark:
-            return False
-        if (
-            self._burn_threshold() is not None
-            and burn_rate is not None
-            and burn_rate > 1.0  # still spending budget faster than earned
-        ):
-            return False
-        threshold = self.policy.degrade_latency_p95_ms
-        if threshold is None or p95_ms is None:
-            return True
-        return p95_ms <= threshold * self.policy.latency_recovery_ratio
-
-    def observe(
-        self,
-        depth: int,
-        now: float | None = None,
-        p95_ms: float | None = None,
-        burn_rate: float | None = None,
-    ) -> int:
-        """Update and return the target tier for one load sample.
-
-        ``p95_ms`` defaults to the controller's own sliding-window p95;
-        tests (and callers with an external latency source) may pass it
-        explicitly. ``burn_rate`` is the SLO tracker's multi-window burn
-        (``None`` when untracked — the signal simply doesn't vote).
-        """
+    def observe(self, depth: int, now: float | None = None) -> int:
+        """Update and return the target tier for one queue-depth sample."""
         if now is None:
             now = self.clock()
         if self.max_tier == 0:
             return self.tier
-        if p95_ms is None:
-            p95_ms = self.latency_p95()
-        in_cooldown = (
+        if (
             self._last_change is not None
             and now - self._last_change < self.policy.cooldown_s
-        )
-        if in_cooldown:
+        ):
             return self.tier
         if (
-            self._overloaded(depth, p95_ms, burn_rate)
+            depth >= self.policy.degrade_high_watermark
             and self.tier < self.max_tier
         ):
             self.tier += 1
             self._last_change = now
             self.transitions += 1
             obs.counter("serve.degrade_transitions").add(1)
-        elif (
-            self._recovered(depth, p95_ms, burn_rate) and self.tier > 0
-        ):
+        elif depth <= self.policy.degrade_low_watermark and self.tier > 0:
             self.tier -= 1
             self._last_change = now
             self.transitions += 1

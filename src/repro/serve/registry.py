@@ -67,10 +67,6 @@ class ModelEntry:
     lock: threading.RLock = field(default_factory=threading.RLock)  # guards: tier
 
     @property
-    def degradable(self) -> bool:
-        return len(self.tiers) > 1
-
-    @property
     def max_tier(self) -> int:
         return len(self.tiers) - 1
 
@@ -130,7 +126,7 @@ class ModelRegistry:
         ``sc_config`` enables the degrade ladder (derived via
         :func:`tier_ladder`); when omitted it is discovered from the
         model's SC layers, and a pure-FP model simply gets a single
-        non-degradable tier. ``warm=True`` pre-executes every tier once.
+        tier. ``warm=True`` pre-executes every tier once.
         """
         if sc_config is None:
             for module in model.modules():

@@ -13,8 +13,8 @@ Endpoints (JSON in, JSON out):
   of them (see :meth:`PredictResult.to_dict`). A malformed request (bad
   ``Content-Length``, a body that is not a JSON object, a missing or
   non-string ``model``, non-numeric, NaN/infinite or wrong-shaped
-  ``inputs``, a non-numeric ``deadline_ms``) is rejected before
-  anything is queued.
+  ``inputs``, a non-numeric or non-positive ``deadline_ms``) is
+  rejected before anything is queued.
 * ``GET /healthz`` — liveness plus the served model names.
 * ``GET /stats`` — the server's statistics payload.
 * ``GET /metrics`` — Prometheus text exposition (v0.0.4) of the global
@@ -33,9 +33,9 @@ requests — an untraced request touches none of the span machinery.
 
 Errors map onto status codes through :data:`STATUS_FOR`: 400 malformed
 request / bad shape, 404 unknown model, 429 queue full (back off and
-retry), 503 circuit open or draining, 504 deadline exceeded, 500
-anything else. The body names the error class, which
-:func:`repro.serve.client.error_from_http` decodes. Backpressure
+retry), 503 circuit open, no replica available or draining, 504
+deadline exceeded, 500 anything else. The body names the error class,
+which :func:`repro.serve.client.error_from_http` decodes. Backpressure
 responses (429/503) carry the standard ``Retry-After`` header (integer
 seconds, ceiling-rounded) plus ``X-Retry-After-Ms`` for sub-second
 precision, which :class:`~repro.serve.client.HTTPClient` feeds back
@@ -62,6 +62,7 @@ from repro.errors import (
     CircuitOpenError,
     DeadlineExceededError,
     QueueFullError,
+    ReplicaUnavailableError,
     ReproError,
     ServiceDrainingError,
     ShapeError,
@@ -85,6 +86,7 @@ STATUS_FOR = (
     (UnknownModelError, 404),
     (QueueFullError, 429),
     (CircuitOpenError, 503),
+    (ReplicaUnavailableError, 503),
     (ServiceDrainingError, 503),
     (DeadlineExceededError, 504),
 )
@@ -101,7 +103,7 @@ def status_for(error: Exception) -> int:
 def _parse_predict(body: bytes) -> tuple[str, np.ndarray, float]:
     """``(model, inputs, deadline_s)`` of a ``/predict`` body, else a
     :class:`ShapeError`; no ``deadline_ms`` gives ``-1.0`` (the policy
-    default)."""
+    default), and one that is not positive is rejected."""
     try:
         request = json.loads(body or b"{}")
         model, deadline_ms = request["model"], request.get("deadline_ms")
@@ -117,6 +119,8 @@ def _parse_predict(body: bytes) -> tuple[str, np.ndarray, float]:
         return model, inputs, -1.0
     if type(deadline_ms) not in (int, float) or not math.isfinite(deadline_ms):
         raise ShapeError(f"deadline_ms must be a number, not {deadline_ms!r}")
+    if deadline_ms <= 0:
+        raise ShapeError(f"deadline_ms must be positive, not {deadline_ms!r}")
     return model, inputs, deadline_ms / 1e3
 
 

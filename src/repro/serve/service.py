@@ -15,7 +15,6 @@ parallelism is wanted. The resilience chain around each batch is::
     partition_expired → fail dead requests  (deadline passed post-release)
     call_with_retry(backend.run)            (crash/timeout/corruption retried)
     breaker.record_{success,failure}        (post-retry outcome)
-    controller.note_latency                 (feeds latency-aware degrade)
 
 Every request is accounted for exactly once, which the overload
 acceptance test checks end to end::
@@ -42,9 +41,8 @@ trace.
 
 SLOs: when ``policy.slo`` is set, every finished request feeds a
 per-model :class:`~repro.serve.slo.SLOTracker` (completed = available,
-completed within the latency objective = good), and the tracker's
-multi-window burn rate joins queue depth and batch p95 as a degrade
-signal.
+completed within the latency objective = good), which ``/stats`` and
+``/metrics`` report. Only queue depth drives the degrade controller.
 """
 
 from __future__ import annotations
@@ -437,12 +435,7 @@ class InferenceService:
                 self._fail_expired(dead, at_dequeue=True)
             if not live:
                 return
-            controller = self._controller(entry)
-            slo = self._slo(entry.name)
-            target = controller.observe(
-                self.batcher.depth(),
-                burn_rate=None if slo is None else slo.burn_rate(),
-            )
+            target = self._controller(entry).observe(self.batcher.depth())
             self._batches.add(1)
             self._batch_hist.observe(len(live))
             # A batch joins the trace of every traced member: it runs
@@ -466,7 +459,6 @@ class InferenceService:
                 started = self.clock()
                 logits, tier = self._execute(entry, stacked, target)
                 batch_ms = (self.clock() - started) * 1e3
-                controller.note_latency(batch_ms)
                 self._batch_latency_hist.observe(batch_ms)
                 self._batch_latency_rolling.observe(batch_ms)
                 breaker.record_success()

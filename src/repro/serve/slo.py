@@ -17,11 +17,12 @@ Both windows are rolling per-second count buckets, so the tracker is
 O(window seconds) in memory regardless of request rate, and the clock is
 injectable so burn math is testable without sleeps.
 
-The tracker is wired in twice: the dispatcher feeds every request
-outcome in (:meth:`SLOTracker.record`) and hands the combined burn rate
-to the :class:`~repro.serve.policy.DegradeController` as a third
-overload signal next to queue depth and batch-latency p95; the HTTP
-frontend exports :func:`slo_families` on ``/metrics``.
+The tracker is telemetry only: the dispatcher feeds every request
+outcome in (:meth:`SLOTracker.record`), ``/stats`` reports each
+model's snapshot, and the HTTP frontend exports :func:`slo_families`
+on ``/metrics``, which ``geo-repro top`` renders. It does not drive
+degradation; queue depth alone does
+(:class:`~repro.serve.policy.DegradeController`).
 """
 
 from __future__ import annotations
@@ -193,7 +194,7 @@ class SLOTracker:
         return out
 
     def burn_rate(self, now: float | None = None) -> float:
-        """The degrade/alert signal: worst SLI's **both-windows** burn.
+        """The alert signal: worst SLI's **both-windows** burn.
 
         ``min(short, long)`` per SLI implements the multi-window AND (a
         burst only counts once the long window confirms it); ``max``

@@ -420,6 +420,8 @@ EDGE_CASES = {
     "wrong-shape": (_body(inputs=[0.1] * 7), None, 400, "ShapeError"),
     "deadline-not-a-number": (_body(deadline_ms="soon"),
                               None, 400, "ShapeError"),
+    "deadline-negative": (_body(deadline_ms=-1000), None, 400, "ShapeError"),
+    "deadline-zero": (_body(deadline_ms=0), None, 400, "ShapeError"),
 }
 
 

@@ -587,58 +587,11 @@ class TestServiceResilience:
         assert stats["accounting"]["balanced"]
 
 
-class TestLatencyAwareDegrade:
-    def policy(self, **kw):
-        base = dict(
-            degrade_high_watermark=1000,  # depth signal effectively off
-            degrade_low_watermark=2,
-            cooldown_s=0.0,
-            degrade_latency_p95_ms=100.0,
-            latency_recovery_ratio=0.5,
-        )
-        base.update(kw)
-        return ServePolicy(**base)
-
-    def test_p95_needs_minimum_samples(self):
-        c = DegradeController(self.policy(), max_tier=2, clock=FakeClock())
-        for _ in range(3):
-            c.note_latency(500.0)
-        assert c.latency_p95() is None  # below MIN_LATENCY_SAMPLES
-        assert c.observe(0) == 0  # latency signal not trusted yet
-        c.note_latency(500.0)
-        assert c.latency_p95() == pytest.approx(500.0)
-
-    def test_slow_batches_degrade_without_queue_depth(self):
-        c = DegradeController(self.policy(), max_tier=2, clock=FakeClock())
-        for _ in range(8):
-            c.note_latency(250.0)
-        assert c.observe(0) == 1  # depth 0, latency alone degraded
-
-    def test_recovery_requires_p95_below_ratio(self):
-        clock = FakeClock()
-        c = DegradeController(self.policy(), max_tier=2, clock=clock)
-        for _ in range(8):
-            c.note_latency(250.0)
-        assert c.observe(0) == 1
-        clock.advance(1.0)
-        # p95 back under the trip threshold but above ratio*threshold:
-        # hysteresis holds the degraded tier.
-        assert c.observe(0, p95_ms=80.0) == 1
-        clock.advance(1.0)
-        assert c.observe(0, p95_ms=40.0) == 0  # below 0.5 * 100ms: recover
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(
         st.tuples(
             st.integers(min_value=0, max_value=128),  # queue depth
-            st.one_of(  # windowed p95 sample (None = no signal yet)
-                st.none(),
-                st.floats(
-                    min_value=0.0, max_value=1000.0, allow_nan=False
-                ),
-            ),
             st.floats(min_value=0.0, max_value=0.4, allow_nan=False),  # dt
         ),
         min_size=1,
@@ -647,21 +600,20 @@ class TestLatencyAwareDegrade:
 )
 def test_property_cooldown_bounds_tier_change_rate(samples):
     """Hysteresis invariant: the controller never changes tier twice
-    within one cooldown window, whatever load sequence it observes —
+    within one cooldown window, whatever depth sequence it observes —
     this is what makes degrade/recover flapping impossible."""
     policy = ServePolicy(
         degrade_high_watermark=16,
         degrade_low_watermark=2,
         cooldown_s=0.25,
-        degrade_latency_p95_ms=100.0,
     )
     controller = DegradeController(policy, max_tier=3)
     now = 0.0
     change_times = []
     tier = controller.tier
-    for depth, p95_ms, dt in samples:
+    for depth, dt in samples:
         now += dt
-        new_tier = controller.observe(depth, now=now, p95_ms=p95_ms)
+        new_tier = controller.observe(depth, now=now)
         assert 0 <= new_tier <= 3
         assert abs(new_tier - tier) <= 1  # one step at a time
         if new_tier != tier:

@@ -17,6 +17,7 @@ from repro.errors import (
     ConfigurationError,
     DeadlineExceededError,
     QueueFullError,
+    ReplicaUnavailableError,
     ServeError,
     ServiceDrainingError,
     ShapeError,
@@ -235,6 +236,32 @@ class TestDegradeController:
         assert c.observe(10_000) == 0
         assert c.transitions == 0
 
+    def test_idle_service_stays_native_after_a_late_request(self):
+        """One late answer at an empty queue is not overload: the SLO
+        tracker records the miss, and the model stays on tier 0."""
+        clock = FakeClock()
+        registry = ModelRegistry()
+        registry.register(
+            "sc", _sc_model()[0], input_shape=(1, 6, 6), warm=False
+        )
+        service = serve.InferenceService(registry, ServePolicy(), clock=clock)
+        x = np.zeros((1, 6, 6), np.float32)
+        tiers = []
+        for latency_s in (0.03, 0.03, 0.03, 0.03, 0.3, 0.03, 0.03, 0.03):
+            request, _ = service.submit("sc", x)
+            clock.advance(latency_s)
+            batch, _ = service.batcher.next_batch(timeout=0.1)
+            service._in_flight += len(batch)  # as _dispatch_loop does
+            service._run_batch(batch)
+            tiers.append(request.future.result(timeout=5).tier)
+            clock.advance(0.5)
+        stats = service.stats()
+        assert tiers == [0] * 8
+        assert stats["models"]["sc"]["tier"] == 0
+        assert stats["slo"]["sc"]["short_window"]["latency_bad"] == 1
+        assert stats["slo"]["sc"]["burn_rate"] > 1.0
+        assert stats["accounting"]["balanced"]
+
 
 class TestServePolicy:
     def test_queue_must_hold_a_batch(self):
@@ -267,7 +294,7 @@ class TestRegistry:
         reg = ModelRegistry()
         entry = reg.register("sc", model, input_shape=(1, 6, 6), warm=False)
         assert entry.sc_config is cfg
-        assert entry.degradable and entry.max_tier >= 1
+        assert entry.max_tier >= 1
 
     def test_set_tier_changes_simulator_lengths(self):
         model, cfg = _sc_model(stream_length=32)
@@ -579,6 +606,27 @@ class TestHTTPServer:
         if hasattr(error, "retry_after_s"):
             assert error.retry_after_s == 2.0
 
+    def test_replica_unavailable_is_a_retryable_503(self):
+        """A router that gives up answers 503, the client decodes it back
+        into the typed error with its hint, and both clients' retry
+        covers it."""
+        import io
+        import urllib.error
+        from email.message import Message
+
+        error = ReplicaUnavailableError("no replica", retry_after_s=0.05)
+        assert serve.status_for(error) == 503
+        assert isinstance(error, serve.client.BACKPRESSURE)
+        headers = Message()
+        headers["X-Retry-After-Ms"] = "50.000"
+        body = b'{"error": "ReplicaUnavailableError", "detail": "no replica"}'
+        err = urllib.error.HTTPError(
+            "http://x/predict", 503, "reason", headers, io.BytesIO(body)
+        )
+        decoded = serve.client.error_from_http(err)
+        assert type(decoded) is ReplicaUnavailableError
+        assert decoded.retry_after_s == pytest.approx(0.05)
+
     def test_http_429_sends_retry_after_headers(self):
         """Queue-full over HTTP: 429 plus both backoff headers, and the
         client surfaces the precise hint as ``retry_after_s``."""
@@ -864,7 +912,7 @@ class TestShardedServing:
             )
             registry.register(name, models[name], input_shape=(1, 8, 8), warm=False)
         policy = ServePolicy(
-            max_batch=4, max_wait_s=0.05, num_tiers=1, dispatch_workers=2,
+            max_batch=4, max_wait_s=0.05, dispatch_workers=2,
             default_deadline_s=None, slo=None,
         )
         xs = np.random.default_rng(7).uniform(0, 1, (4, 1, 8, 8))

@@ -1,12 +1,11 @@
 """Tests for SLO tracking (:mod:`repro.serve.slo`): burn-rate math on a
-fake clock, the multi-window AND rule, degrade-controller wiring, and
-the Prometheus export shape."""
+fake clock, the multi-window AND rule, and the Prometheus export
+shape."""
 
 import pytest
 
 from repro import obs
 from repro.errors import ConfigurationError
-from repro.serve.policy import DegradeController, ServePolicy
 from repro.serve.slo import SLOPolicy, SLOTracker, slo_families
 
 
@@ -131,50 +130,6 @@ class TestBurnRates:
         assert snap["requests"] == 1
         assert set(snap["burn_rates"]) == {"latency", "availability"}
         assert snap["breaching"] is False
-
-
-class TestDegradeWiring:
-    def _policy(self, **overrides):
-        defaults = dict(
-            degrade_high_watermark=1000,  # depth never triggers
-            degrade_low_watermark=2,
-            cooldown_s=0.0,
-            slo=SLOPolicy(fast_burn_threshold=5.0),
-        )
-        defaults.update(overrides)
-        return ServePolicy(**defaults)
-
-    def test_burn_above_threshold_degrades(self):
-        clock = FakeClock()
-        controller = DegradeController(self._policy(), 2, clock=clock)
-        assert controller.observe(0, burn_rate=6.0) == 1
-
-    def test_burn_below_threshold_does_not_degrade(self):
-        clock = FakeClock()
-        controller = DegradeController(self._policy(), 2, clock=clock)
-        assert controller.observe(0, burn_rate=4.0) == 0
-
-    def test_burn_over_budget_blocks_recovery(self):
-        clock = FakeClock()
-        controller = DegradeController(self._policy(), 2, clock=clock)
-        controller.observe(0, burn_rate=6.0)
-        assert controller.tier == 1
-        # Depth is low but the budget is still burning faster than
-        # earned: stay degraded.
-        assert controller.observe(0, burn_rate=1.5) == 1
-        # Back within budget: recover.
-        assert controller.observe(0, burn_rate=0.5) == 0
-
-    def test_none_burn_does_not_vote(self):
-        clock = FakeClock()
-        controller = DegradeController(self._policy(), 2, clock=clock)
-        assert controller.observe(0, burn_rate=None) == 0
-
-    def test_slo_disabled_ignores_burn(self):
-        clock = FakeClock()
-        policy = self._policy(slo=None)
-        controller = DegradeController(policy, 2, clock=clock)
-        assert controller.observe(0, burn_rate=100.0) == 0
 
 
 class TestPrometheusExport:
