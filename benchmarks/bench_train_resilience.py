@@ -205,7 +205,6 @@ def run_train_bench(smoke: bool = False) -> dict:
         input_shape=(3, INPUT_SIZE, INPUT_SIZE),
         num_workers=NUM_WORKERS,
         chaos=CHAOS,
-        seed=0,
     ) as pool:
         pooled = train_model(pooled_model, train, test, pool=pool, **kw)
         pool_stats = pool.stats()

@@ -20,6 +20,12 @@ the traffic.
 Replica processes come from the forkserver context
 (:func:`repro.serve.backend.pool_context`), so a respawn is a fork of a
 warm template holding numpy + repro rather than a cold interpreter.
+
+The router's process never builds a stream table, so constructing a
+manager pins its allocator the way a first table build pins a
+replica's (:func:`repro.scnn.sim._pin_malloc_parameters`): before the
+supervisor, the router's forwarders and its HTTP handlers start, so
+they all share one malloc arena.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from repro import obs
 from repro.errors import ServeError
 from repro.cluster.health import HEARTBEAT_INTERVAL_S, ReplicaHealth
 from repro.cluster.placement import PlacementRing
+from repro.scnn.sim import _pin_malloc_parameters
 from repro.serve.backend import pool_context
 from repro.serve.policy import ServePolicy
 from repro.utils import parallel
@@ -176,6 +183,7 @@ class ReplicaManager:
             raise ValueError(
                 f"num_replicas must be >= 1, got {num_replicas}"
             )
+        _pin_malloc_parameters()
         self.models = list(models)
         self.num_replicas = num_replicas
         self.policy = policy or ServePolicy()

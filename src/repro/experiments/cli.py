@@ -39,7 +39,7 @@ RUNNABLE = (
     "ablations", "ablations-training",
 )
 
-EXPERIMENTS = RUNNABLE + ("all", "serve", "cluster", "top", "lint", "train")
+EXPERIMENTS = RUNNABLE + ("all", "serve", "cluster", "top", "train")
 
 
 def _run(name: str, scale: str, csv_dir: str | None = None) -> None:
@@ -269,9 +269,8 @@ def _run_cluster(args) -> int:
 def _run_top(args) -> int:
     """``geo-repro top``: live dashboard over serve /metrics endpoints.
 
-    ``--endpoint`` (repeatable) watches several frontends at once and
-    renders the aggregated cluster view; ``--url`` remains the
-    single-endpoint spelling.
+    ``--endpoint`` (repeatable; default ``127.0.0.1:8080``) watches one
+    frontend, or several at once in the aggregated cluster view.
     """
     from repro.serve.top import run_top
 
@@ -282,7 +281,7 @@ def _run_top(args) -> int:
             url = url.rstrip("/") + "/metrics"
         return url
 
-    urls = [_normalize(u) for u in (args.endpoint or [args.url])]
+    urls = [_normalize(u) for u in (args.endpoint or ["127.0.0.1:8080"])]
     return run_top(
         urls,
         interval_s=args.interval,
@@ -493,13 +492,10 @@ def main(argv: list[str] | None = None) -> int:
         "top", "options for `geo-repro top` (live /metrics dashboard)"
     )
     top_group.add_argument(
-        "--url", default="127.0.0.1:8080",
-        help="serve frontend to watch (host:port or full /metrics URL)",
-    )
-    top_group.add_argument(
         "--endpoint", action="append", default=None, metavar="URL",
-        help="metrics endpoint to watch; repeat for an aggregated "
-        "cluster view (counters sum, gauges max-merge). Overrides --url",
+        help="frontend to watch (host:port or full /metrics URL; default "
+        "127.0.0.1:8080); repeat for an aggregated cluster view "
+        "(counters sum, gauges max-merge)",
     )
     top_group.add_argument(
         "--interval", type=float, default=1.0, help="poll period seconds"
@@ -551,36 +547,6 @@ def main(argv: list[str] | None = None) -> int:
         help="run SC forwards on an N-worker supervised process pool "
         "(0: in-process); honors --chaos fault injection",
     )
-    lint_group = parser.add_argument_group(
-        "lint", "options for `geo-repro lint` (the repro.analysis rules)"
-    )
-    lint_group.add_argument(
-        "--paths", nargs="+", default=["src"], metavar="PATH",
-        help="files or directories to scan (default: src)",
-    )
-    lint_group.add_argument(
-        "--select", default=None, metavar="CODES",
-        help="comma-separated RPR rule codes to run (default: all)",
-    )
-    lint_group.add_argument(
-        "--json", default=None, metavar="PATH", dest="json_path",
-        help="also write the machine-readable lint report to PATH "
-        "('-' = stdout instead of the text rendering)",
-    )
-    lint_group.add_argument(
-        "--deep", action="store_true",
-        help="also run the whole-program flow passes "
-        "(RPR101 races, RPR102 lock order, RPR103 determinism taint)",
-    )
-    lint_group.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="deep-findings baseline file (default: FLOW_BASELINE.json "
-        "at the repo root; 'none' disables)",
-    )
-    lint_group.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the deep baseline from the current findings",
-    )
     args = parser.parse_args(argv)
 
     if args.experiment == "serve":
@@ -594,19 +560,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.experiment == "train":
         return _run_train(args)
-
-    if args.experiment == "lint":
-        # Same runner and reporters as `python -m repro.analysis`.
-        from repro.analysis.cli import run as lint_run
-
-        return lint_run(
-            args.paths,
-            select=args.select,
-            json_path=args.json_path,
-            deep=args.deep,
-            baseline=args.baseline,
-            update_baseline=args.update_baseline,
-        )
 
     if args.profile:
         obs.reset()  # profile this invocation only, not import-time noise

@@ -27,8 +27,13 @@ result mid-epoch must not lose the run. The contract here is strict:
   result.
 * **gracefully degrading** — if retries exhaust, the batch falls back
   to in-process simulation (``sc_values`` returns ``None``) and the run
-  continues; ``degrade_after`` consecutive exhausted batches retire the
-  pool for the rest of the run rather than paying timeouts forever.
+  continues; :data:`DEGRADE_AFTER` consecutive exhausted batches retire
+  the pool for the rest of the run rather than paying timeouts forever.
+
+The retry schedule (:data:`RETRY`), the per-attempt timeout
+(:data:`BATCH_TIMEOUT_S`), :data:`DEGRADE_AFTER` and the backoff jitter's
+seed are module constants; a caller picks only the worker count and the
+chaos injection.
 
 Under the 5 % injected-crash regime of
 ``benchmarks/bench_train_resilience.py`` this machinery loses zero runs
@@ -54,6 +59,12 @@ from repro.utils.retry import RetryPolicy, call_with_retry
 
 #: Registry name the training model is cached under in pool workers.
 TRAIN_ENTRY_NAME = "__train__"
+#: Retry schedule of a failed pooled batch.
+RETRY = RetryPolicy()
+#: Per-attempt timeout of a pooled batch (seconds).
+BATCH_TIMEOUT_S = 120.0
+#: Consecutive exhausted batches that retire the pool for the run.
+DEGRADE_AFTER = 3
 
 
 def _train_forward(entry, batch: np.ndarray, state: dict) -> list:
@@ -106,10 +117,6 @@ class MinibatchPool:
         input_shape: tuple[int, ...],
         num_workers: int = 2,
         chaos: ChaosConfig | None = None,
-        retry: RetryPolicy | None = None,
-        batch_timeout_s: float = 120.0,
-        degrade_after: int = 3,
-        seed: int = 0,
     ):
         # Imported here, not at module top: repro.serve pulls in
         # repro.scnn (registry type hints), so a top-level import makes
@@ -126,12 +133,9 @@ class MinibatchPool:
             sc_config=None,
             tiers=[{}],
         )
-        self.retry = retry or RetryPolicy()
-        self.batch_timeout_s = batch_timeout_s
-        self.degrade_after = degrade_after
         self.degraded = False
         self._consecutive_failures = 0
-        self._jitter_rng = random.Random(seed)
+        self._jitter_rng = random.Random(0)
         self.counters = {
             "batches": 0,
             "pooled": 0,
@@ -196,9 +200,9 @@ class MinibatchPool:
                     _train_forward,
                     (batch, payload),
                     _finite,
-                    timeout_s=self.batch_timeout_s,
+                    timeout_s=BATCH_TIMEOUT_S,
                 ),
-                self.retry,
+                RETRY,
                 retry_on=(ExecutionBackendError,),
                 rng=self._jitter_rng,
                 on_retry=on_retry,
@@ -207,7 +211,7 @@ class MinibatchPool:
             with self._lock:
                 self._consecutive_failures += 1
                 self.counters["fallbacks"] += 1
-                if self._consecutive_failures >= self.degrade_after:
+                if self._consecutive_failures >= DEGRADE_AFTER:
                     self.degraded = True
             obs.counter("train.pool_fallbacks").add(1)
             return None

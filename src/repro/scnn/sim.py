@@ -119,6 +119,9 @@ def _pin_malloc_parameters() -> None:
     dispatch threads happened to run forwards. One arena lets every
     thread reuse the same freed memory; the GIL already serializes
     nearly every allocation. Threads that already hold an arena keep it.
+    A cluster router's process builds no table, so
+    :class:`~repro.cluster.manager.ReplicaManager` calls this before the
+    router's threads start.
     """
     if platform.libc_ver()[0] != "glibc":
         return

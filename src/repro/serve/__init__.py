@@ -39,7 +39,7 @@ from repro.serve.backend import (
 )
 from repro.serve.batcher import MicroBatcher, PendingRequest
 from repro.serve.breaker import BreakerPolicy, CircuitBreaker
-from repro.serve.client import Client, HTTPClient
+from repro.serve.client import HTTPClient
 from repro.serve.policy import DegradeController, ServePolicy
 from repro.serve.registry import (
     MIN_TIER_LENGTH,
@@ -54,7 +54,7 @@ from repro.serve.server import (
     status_for,
 )
 from repro.serve.service import InferenceService, PredictResult
-from repro.serve.slo import SLOPolicy, SLOTracker
+from repro.serve.slo import SLOTracker
 from repro.utils.chaos import ChaosConfig
 
 __all__ = [
@@ -62,7 +62,6 @@ __all__ = [
     "BreakerPolicy",
     "ChaosConfig",
     "CircuitBreaker",
-    "Client",
     "DegradeController",
     "ExecutionBackend",
     "HTTPClient",
@@ -74,7 +73,6 @@ __all__ = [
     "PendingRequest",
     "PredictResult",
     "ProcessPoolBackend",
-    "SLOPolicy",
     "SLOTracker",
     "ServeHTTPServer",
     "ServePolicy",

@@ -6,7 +6,7 @@ coalesced batch plus a target tier to a backend and gets logits back.
 Two implementations share that contract:
 
 * :class:`InThreadBackend` — the original path: the forward runs on the
-  dispatcher's own pool thread against the registry's model. Zero
+  service's dispatch thread against the registry's model. Zero
   overhead, but a wedged or crashed forward takes the thread (or the
   process) with it, and numpy sections that hold the GIL serialize
   batches.
@@ -140,12 +140,12 @@ class ExecutionBackend:
 
 
 class InThreadBackend(ExecutionBackend):
-    """Run batches on the calling (dispatcher pool) thread.
+    """Run batches on the calling dispatch thread.
 
     ``chaos`` injects the same fault model the process workers support —
     a chaos "crash" raises :class:`WorkerCrashError` instead of killing
     the process (there is no worker to kill), a "stall" sleeps on the
-    dispatcher thread, a "corrupt" NaN-fills the logits so the
+    dispatch thread, a "corrupt" NaN-fills the logits so the
     validation gate trips. This keeps the retry/breaker machinery fully
     testable without spawning processes. ``timeout_s`` is accepted but
     unenforceable in-thread (a thread cannot be preempted) — one more

@@ -184,12 +184,11 @@ class MicroBatcher:
         """Split a released batch into ``(live, expired)`` at dequeue time.
 
         :meth:`poll` prunes requests that expire *while queued*, but a
-        deadline can also pass between batch release and execution —
-        the batch sat behind the in-flight semaphore, or a retry of a
-        failed attempt pushed execution past it. The dispatcher calls
-        this immediately before forwarding so an already-dead request is
-        failed as expired (counted ``serve.deadline_expired`` in obs)
-        instead of burning an SC forward whose result nobody can use.
+        deadline can also pass between batch release and execution. The
+        dispatch thread calls this immediately before forwarding so an
+        already-dead request is failed as expired (counted
+        ``serve.deadline_expired`` in obs) instead of burning an SC
+        forward whose result nobody can use.
         """
         live = [r for r in batch if not r.expired(now)]
         expired = [r for r in batch if r.expired(now)]

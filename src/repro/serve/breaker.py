@@ -17,9 +17,15 @@ transitions are unit-testable without sleeps:
   model basically works).
 * **open** — admission rejects instantly with ``retry_after_s`` set to
   the time remaining until a probe is allowed.
-* **half-open** — after ``reset_s``, up to ``half_open_probes`` requests
-  are admitted as probes; one probe batch succeeding closes the
-  breaker, one failing reopens it (and restarts the ``reset_s`` timer).
+* **half-open** — after ``reset_s``, up to :data:`HALF_OPEN_PROBES`
+  requests are admitted as probes; one probe batch succeeding closes
+  the breaker, one failing reopens it (and restarts the ``reset_s``
+  timer).
+
+Two policies are in use: the serving model breaker
+(:data:`repro.serve.service.BREAKER`, 5 failures / 5 s) and the cluster
+replica breaker (:data:`repro.cluster.health.BREAKER`, 3 failures /
+2 s).
 """
 
 from __future__ import annotations
@@ -34,6 +40,9 @@ from repro.errors import ConfigurationError
 #: Breaker states (the ``state`` property returns one of these).
 CLOSED, OPEN, HALF_OPEN = "closed", "open", "half_open"
 
+#: Probe requests admitted while half-open.
+HALF_OPEN_PROBES = 1
+
 
 @dataclass(frozen=True)
 class BreakerPolicy:
@@ -41,7 +50,6 @@ class BreakerPolicy:
 
     failure_threshold: int = 5  # consecutive batch failures that trip it
     reset_s: float = 5.0  # open -> half-open delay
-    half_open_probes: int = 1  # probe batches admitted while half-open
 
     def __post_init__(self):
         if self.failure_threshold < 1:
@@ -50,10 +58,6 @@ class BreakerPolicy:
             )
         if self.reset_s < 0:
             raise ConfigurationError(f"reset_s must be >= 0, got {self.reset_s}")
-        if self.half_open_probes < 1:
-            raise ConfigurationError(
-                f"half_open_probes must be >= 1, got {self.half_open_probes}"
-            )
 
 
 class CircuitBreaker:
@@ -96,7 +100,7 @@ class CircuitBreaker:
                 self._state = HALF_OPEN
                 self._probes_in_flight = 0
             # HALF_OPEN: admit a bounded number of probes.
-            if self._probes_in_flight >= self.policy.half_open_probes:
+            if self._probes_in_flight >= HALF_OPEN_PROBES:
                 return False
             self._probes_in_flight += 1
             return True

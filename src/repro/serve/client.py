@@ -1,17 +1,17 @@
-"""Clients for the serving stack: in-process and over HTTP.
+"""The HTTP client of the serving stack.
 
-:class:`Client` wraps an :class:`InferenceService` directly — the fast
-path for notebooks and benchmarks sharing the server's process.
 :class:`HTTPClient` speaks the :mod:`repro.serve.server` JSON protocol
 with stdlib ``urllib`` only. :func:`error_from_http` decodes an error
 response back into the exception type the server raised — the one
 decoder of :data:`~repro.serve.server.STATUS_FOR`, which the cluster
-router's proxy path uses too — so calling code is transport-agnostic.
-Other non-2xx responses become :class:`~repro.errors.ServeError`.
+router's proxy path uses too — so a caller sees the same exception
+types as one calling :class:`~repro.serve.service.InferenceService`
+in-process. Other non-2xx responses become
+:class:`~repro.errors.ServeError`.
 
 Backpressure errors (429/503) carry the server's retry hint as
 ``error.retry_after_s``, parsed from ``X-Retry-After-Ms`` (sub-second
-precision) or the standard ``Retry-After`` header. Both clients accept
+precision) or the standard ``Retry-After`` header. The client accepts
 an optional :class:`~repro.utils.retry.RetryPolicy`; with one set,
 backpressure rejections (:data:`BACKPRESSURE`) are retried
 transparently with that hint as the backoff floor — the caller only
@@ -43,7 +43,6 @@ from repro.errors import (
 )
 from repro.obs import trace
 from repro.serve.server import STATUS_FOR
-from repro.serve.service import InferenceService, PredictResult
 from repro.utils.retry import RetryPolicy, call_with_retry
 
 #: Transient shedding worth retrying (here) or failing over (at the
@@ -97,55 +96,11 @@ def error_from_http(err: urllib.error.HTTPError) -> ServeError:
     return error
 
 
-class Client:
-    """Synchronous in-process client over an :class:`InferenceService`.
-
-    With ``retry`` set, backpressure rejections are retried per the
-    policy (honouring the service's ``retry_after_s`` hint) before
-    surfacing.
-    """
-
-    def __init__(
-        self, service: InferenceService, retry: RetryPolicy | None = None
-    ):
-        self.service = service
-        self.retry = retry
-
-    def _call(self, fn):
-        if self.retry is None:
-            return fn()
-        return call_with_retry(fn, policy=self.retry, retry_on=BACKPRESSURE)
-
-    def predict(
-        self,
-        model: str,
-        x: np.ndarray,
-        deadline_s: float | None = -1.0,
-    ) -> PredictResult:
-        return self._call(lambda: self.service.predict(model, x, deadline_s))
-
-    def predict_many(
-        self,
-        model: str,
-        xs: np.ndarray,
-        deadline_s: float | None = -1.0,
-    ) -> list[PredictResult]:
-        return self._call(
-            lambda: self.service.predict_many(model, xs, deadline_s)
-        )
-
-    def stats(self) -> dict:
-        return self.service.stats()
-
-    def healthz(self) -> dict:
-        return {"status": "ok", "models": self.service.registry.names()}
-
-
 class HTTPClient:
-    """Same surface as :class:`Client`, over the JSON HTTP endpoint.
+    """Client of the JSON HTTP endpoint.
 
     Responses come back as plain dicts (the wire format of
-    :meth:`PredictResult.to_dict`) rather than result objects.
+    :meth:`~repro.serve.service.PredictResult.to_dict`).
     """
 
     def __init__(

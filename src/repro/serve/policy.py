@@ -1,7 +1,11 @@
-"""Serving policy: admission limits, resilience knobs, and degrade
+"""Serving policy: admission limits, execution retry, and degrade
 -under-load hysteresis.
 
-:class:`ServePolicy` is the one knob bundle a deployment tunes; the
+:class:`ServePolicy` is the one knob bundle a deployment tunes: the
+knobs some caller sets. The model circuit breaker
+(:data:`repro.serve.service.BREAKER`) and the SLO objectives
+(:mod:`repro.serve.slo`) are module constants, and the dispatch thread
+count follows the host and the backend. The
 :class:`DegradeController` turns queue depth into stream-length tier
 decisions. Each tier halves every stream length, so under overload the
 service sheds *precision* before it sheds *requests*, and every
@@ -28,8 +32,6 @@ from dataclasses import dataclass, field
 
 from repro import obs
 from repro.errors import ConfigurationError
-from repro.serve.breaker import BreakerPolicy
-from repro.serve.slo import SLOPolicy
 from repro.utils.retry import RetryPolicy
 
 
@@ -44,13 +46,9 @@ class ServePolicy:
     degrade_high_watermark: int = 16  # queue depth that degrades
     degrade_low_watermark: int = 2  # queue depth that recovers
     cooldown_s: float = 0.25  # min time between tier changes
-    dispatch_workers: int = 0  # pool size for batch dispatch (0 = auto)
     # -- execution resilience ------------------------------------------------
     batch_timeout_s: float | None = 10.0  # per-attempt execution timeout
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    breaker: BreakerPolicy = field(default_factory=BreakerPolicy)
-    # -- service-level objectives (telemetry) --------------------------------
-    slo: SLOPolicy | None = field(default_factory=SLOPolicy)  # None = untracked
 
     def __post_init__(self):
         if self.max_batch < 1:

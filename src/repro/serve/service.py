@@ -1,10 +1,13 @@
 """The inference service: admission → micro-batch → dispatch → respond.
 
-One dispatcher thread pulls coalesced batches from the
-:class:`~repro.serve.batcher.MicroBatcher` and hands each to the shared
-worker pool (:func:`repro.utils.parallel.submit`), so batches for
-*different* models execute concurrently while each model's entry lock
-keeps its own forwards serial (tier flips can't land mid-batch).
+Each service runs its own dispatch threads, one per CPU and at least
+one per backend worker. Each thread loops: pull a coalesced batch from
+the :class:`~repro.serve.batcher.MicroBatcher`, run it, repeat. A thread
+pulls only when it is free, so backlog stays in the batcher queue, where
+it drives the degrade signal, deepens coalescing and stays subject to
+expiry. Batches for *different* models execute concurrently while each
+model's entry lock keeps its own forwards serial (tier flips can't land
+mid-batch).
 
 Execution itself goes through a pluggable
 :class:`~repro.serve.backend.ExecutionBackend` — in-thread by default, a
@@ -32,16 +35,16 @@ rejections.
 Tracing: a request admitted under an active
 :class:`~repro.obs.trace.TraceContext` (the HTTP frontend installs one
 per sampled request) carries it on the
-:class:`~repro.serve.batcher.PendingRequest`; the dispatcher re-enters
+:class:`~repro.serve.batcher.PendingRequest`; the dispatch thread re-enters
 the first traced member's context for the batch — so ``serve.dispatch``
 and everything under it (including worker-side spans shipped back over
 the pipe) joins that request's trace — and stamps the span with the
 full ``trace_ids`` list so a batch appears in *every* member's merged
 trace.
 
-SLOs: when ``policy.slo`` is set, every finished request feeds a
-per-model :class:`~repro.serve.slo.SLOTracker` (completed = available,
-completed within the latency objective = good), which ``/stats`` and
+SLOs: every finished request feeds a per-model
+:class:`~repro.serve.slo.SLOTracker` (completed = available, completed
+within the latency objective = good), which ``/stats`` and
 ``/metrics`` report. Only queue depth drives the degrade controller.
 """
 
@@ -66,16 +69,19 @@ from repro.obs import trace
 from repro.obs.core import Counter, Histogram
 from repro.serve.backend import ExecutionBackend, InThreadBackend
 from repro.serve.batcher import MicroBatcher, PendingRequest
-from repro.serve.breaker import CircuitBreaker
+from repro.serve.breaker import BreakerPolicy, CircuitBreaker
 from repro.serve.policy import DegradeController, ServePolicy
 from repro.serve.registry import ModelEntry, ModelRegistry
 from repro.serve.slo import SLOTracker
-from repro.utils import parallel
-from repro.utils.parallel import resolve_workers
+from repro.utils.parallel import cpu_count
 from repro.utils.retry import call_with_retry
 
 #: Latency histogram buckets (milliseconds).
 _LATENCY_BUCKETS = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000)
+#: The per-model circuit breaker: 5 consecutive failed batches open it
+#: for 5 s.
+BREAKER = BreakerPolicy()
+
 
 class _Stat:
     """Per-service counter that mirrors into the global obs registry.
@@ -169,22 +175,14 @@ class InferenceService:
         self._controllers: dict[str, DegradeController] = {}
         self._breakers: dict[str, CircuitBreaker] = {}
         self._in_flight = 0
-        # Dispatch parallelism must cover the backend: a process pool of
-        # N workers needs N batches in flight to use them, even on a box
-        # whose CPU count resolves the dispatch knob to 1.
-        self._dispatch_parallelism = max(
-            resolve_workers(self.policy.dispatch_workers),
-            getattr(self.backend, "capacity", 1),
-        )
-        # Bounds concurrently executing batches, so backlog stays in the
-        # batcher queue — where depth drives the degrade signal,
-        # coalescing sees it, and expiry still applies — instead of
-        # piling up invisibly behind the pool.
-        self._inflight_slots = threading.Semaphore(self._dispatch_parallelism)
+        # One thread per CPU, and enough to keep every backend worker
+        # busy: a process pool of N workers needs N batches in flight
+        # even on a 1-CPU box.
+        self._dispatch_parallelism = max(cpu_count(), self.backend.capacity)
         self._state_lock = threading.Lock()  # guards: _in_flight, _breakers, _controllers, _slo_trackers
         self._slo_trackers: dict[str, SLOTracker] = {}
         self._stop = threading.Event()
-        self._dispatcher: threading.Thread | None = None
+        self._dispatchers: list[threading.Thread] = []
         self._accepted = _Stat("serve.requests_accepted")
         self._rejected = _Stat("serve.requests_rejected_queue_full")
         self._rejected_open = _Stat("serve.requests_rejected_circuit_open")
@@ -215,22 +213,30 @@ class InferenceService:
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> "InferenceService":
-        if self._dispatcher is not None:
+        if self._dispatchers:
             return self
         self.backend.start()
         self._stop.clear()
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="serve-dispatch", daemon=True
-        )
-        self._dispatcher.start()
+        self._dispatchers = [
+            threading.Thread(
+                target=self._dispatch_loop,
+                name=f"serve-dispatch-{i}",
+                daemon=True,
+            )
+            for i in range(self._dispatch_parallelism)
+        ]
+        for thread in self._dispatchers:
+            thread.start()
         return self
 
     def stop(self) -> None:
-        """Stop dispatching; queued requests fail with :class:`ServeError`."""
+        """Stop dispatching: running batches finish (waiting up to 5 s in
+        all), then queued requests fail with :class:`ServeError`."""
         self._stop.set()
-        if self._dispatcher is not None:
-            self._dispatcher.join(timeout=5.0)
-            self._dispatcher = None
+        deadline = time.monotonic() + 5.0
+        for thread in self._dispatchers:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        self._dispatchers = []
         for request in self.batcher.drain():
             self._failed.add(1)
             request.future.set_exception(ServeError("service stopped"))
@@ -334,50 +340,32 @@ class InferenceService:
         with self._state_lock:
             breaker = self._breakers.get(name)
             if breaker is None:
-                breaker = CircuitBreaker(
-                    name, self.policy.breaker, clock=self.clock
-                )
+                breaker = CircuitBreaker(name, BREAKER, clock=self.clock)
                 self._breakers[name] = breaker
             return breaker
-
-    def _slo(self, name: str) -> SLOTracker | None:
-        if self.policy.slo is None:
-            return None
-        with self._state_lock:
-            tracker = self._slo_trackers.get(name)
-            if tracker is None:
-                tracker = SLOTracker(
-                    name, self.policy.slo, clock=self.clock
-                )
-                self._slo_trackers[name] = tracker
-            return tracker
 
     def _record_outcome(
         self, model: str, latency_ms: float, ok: bool
     ) -> None:
-        tracker = self._slo(model)
-        if tracker is not None:
-            tracker.record(latency_ms, ok)
+        with self._state_lock:
+            tracker = self._slo_trackers.get(model)
+            if tracker is None:
+                tracker = SLOTracker(model, clock=self.clock)
+                self._slo_trackers[model] = tracker
+        tracker.record(latency_ms, ok)
 
     def _dispatch_loop(self) -> None:
+        # Threads overlap batches of different models (and, with a
+        # process backend, batches of the same model across workers);
+        # the entry lock keeps in-thread forwards serial.
         while not self._stop.is_set():
-            if not self._inflight_slots.acquire(timeout=0.05):
-                continue
             batch, expired = self.batcher.next_batch(timeout=0.05)
             self._fail_expired(expired)
             if not batch:
-                self._inflight_slots.release()
                 continue
             with self._state_lock:
                 self._in_flight += len(batch)
-            # The shared pool overlaps batches of different models (and,
-            # with a process backend, batches of the same model across
-            # workers); the entry lock keeps in-thread forwards serial.
-            parallel.submit(
-                self._run_batch,
-                batch,
-                num_workers=self._dispatch_parallelism,
-            )
+            self._run_batch(batch)
 
     def _fail_expired(
         self, expired: list[PendingRequest], at_dequeue: bool = False
@@ -426,10 +414,9 @@ class InferenceService:
         entry = self.registry.get(batch[0].model)
         breaker = self._breaker(entry.name)
         try:
-            # A deadline can pass between batch release and execution —
-            # the batch sat behind the in-flight semaphore or a previous
-            # batch's retry backoff. Fail those now instead of burning a
-            # forward whose result nobody can use.
+            # A deadline can pass between batch release and execution.
+            # Fail those now instead of burning a forward whose result
+            # nobody can use.
             live, dead = MicroBatcher.partition_expired(batch, self.clock())
             if dead:
                 self._fail_expired(dead, at_dequeue=True)
@@ -497,7 +484,6 @@ class InferenceService:
         finally:
             with self._state_lock:
                 self._in_flight -= len(batch)
-            self._inflight_slots.release()
 
     # -- introspection -------------------------------------------------------
 

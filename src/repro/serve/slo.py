@@ -3,7 +3,7 @@
 An SLO here is two service-level indicators over rolling time windows:
 
 * **latency** — the fraction of requests answered within
-  ``latency_objective_ms`` (a request that fails also misses latency);
+  :data:`LATENCY_OBJECTIVE_MS` (a request that fails also misses latency);
 * **availability** — the fraction of requests answered successfully
   (failed, expired, or shed requests are unavailability).
 
@@ -15,7 +15,9 @@ threshold over **both** a short and a long window: the short window makes
 detection fast, the long window stops a single slow batch from paging.
 Both windows are rolling per-second count buckets, so the tracker is
 O(window seconds) in memory regardless of request rate, and the clock is
-injectable so burn math is testable without sleeps.
+injectable so burn math is testable without sleeps. The objectives and
+windows are module constants, the same for every model: no caller ever
+set them.
 
 The tracker is telemetry only: the dispatcher feeds every request
 outcome in (:meth:`SLOTracker.record`), ``/stats`` reports each
@@ -30,65 +32,33 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
-
-from repro.errors import ConfigurationError
 
 __all__ = [
-    "SLOPolicy",
     "SLOTracker",
+    "objectives",
     "slo_families",
 ]
 
+#: Objectives and burn windows of every tracked model (durations in
+#: seconds).
+LATENCY_OBJECTIVE_MS = 250.0  # a "good" request answers within
+LATENCY_TARGET = 0.99  # fraction that must be good
+AVAILABILITY_TARGET = 0.999  # fraction that must succeed
+SHORT_WINDOW_S = 60.0  # fast-detection burn window
+LONG_WINDOW_S = 300.0  # confirmation burn window
+FAST_BURN_THRESHOLD = 14.0  # breach when BOTH windows exceed
 
-@dataclass(frozen=True)
-class SLOPolicy:
-    """Objectives + burn-rate windows for one model (durations seconds)."""
 
-    latency_objective_ms: float = 250.0  # a "good" request answers within
-    latency_target: float = 0.99  # fraction that must be good
-    availability_target: float = 0.999  # fraction that must succeed
-    short_window_s: float = 60.0  # fast-detection burn window
-    long_window_s: float = 300.0  # confirmation burn window
-    fast_burn_threshold: float = 14.0  # breach when BOTH windows exceed
-
-    def __post_init__(self):
-        if self.latency_objective_ms <= 0:
-            raise ConfigurationError("latency_objective_ms must be positive")
-        for name in ("latency_target", "availability_target"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ConfigurationError(
-                    f"{name} must be in (0, 1), got {value}"
-                )
-        if not 0 < self.short_window_s <= self.long_window_s:
-            raise ConfigurationError(
-                "need 0 < short_window_s <= long_window_s, got "
-                f"{self.short_window_s} / {self.long_window_s}"
-            )
-        if self.fast_burn_threshold <= 0:
-            raise ConfigurationError("fast_burn_threshold must be positive")
-
-    def to_dict(self) -> dict:
-        return {
-            "latency_objective_ms": self.latency_objective_ms,
-            "latency_target": self.latency_target,
-            "availability_target": self.availability_target,
-            "short_window_s": self.short_window_s,
-            "long_window_s": self.long_window_s,
-            "fast_burn_threshold": self.fast_burn_threshold,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SLOPolicy":
-        return cls(
-            latency_objective_ms=payload["latency_objective_ms"],
-            latency_target=payload["latency_target"],
-            availability_target=payload["availability_target"],
-            short_window_s=payload["short_window_s"],
-            long_window_s=payload["long_window_s"],
-            fast_burn_threshold=payload["fast_burn_threshold"],
-        )
+def objectives() -> dict:
+    """The objectives a snapshot reports under ``"policy"``."""
+    return {
+        "latency_objective_ms": LATENCY_OBJECTIVE_MS,
+        "latency_target": LATENCY_TARGET,
+        "availability_target": AVAILABILITY_TARGET,
+        "short_window_s": SHORT_WINDOW_S,
+        "long_window_s": LONG_WINDOW_S,
+        "fast_burn_threshold": FAST_BURN_THRESHOLD,
+    }
 
 
 class _WindowedCounts:
@@ -139,18 +109,12 @@ def _burn(good: int, bad: int, budget: float) -> float:
 class SLOTracker:
     """Rolling burn-rate computation for one model's SLOs."""
 
-    def __init__(
-        self,
-        model: str,
-        policy: SLOPolicy | None = None,
-        clock=time.monotonic,
-    ):
+    def __init__(self, model: str, clock=time.monotonic):
         self.model = model
-        self.policy = policy or SLOPolicy()
         self.clock = clock
         self._lock = threading.Lock()  # guards: _latency, _availability, _requests
-        self._latency = _WindowedCounts(self.policy.long_window_s)
-        self._availability = _WindowedCounts(self.policy.long_window_s)
+        self._latency = _WindowedCounts(LONG_WINDOW_S)
+        self._availability = _WindowedCounts(LONG_WINDOW_S)
         self._requests = 0
 
     def record(
@@ -161,7 +125,7 @@ class SLOTracker:
         ``latency_ms`` is ignored for the latency SLI)."""
         if now is None:
             now = self.clock()
-        within = ok and latency_ms <= self.policy.latency_objective_ms
+        within = ok and latency_ms <= LATENCY_OBJECTIVE_MS
         with self._lock:
             self._requests += 1
             self._latency.record(within, now)
@@ -172,24 +136,15 @@ class SLOTracker:
         as fast as the objective allows)."""
         if now is None:
             now = self.clock()
-        policy = self.policy
         out: dict = {}
         with self._lock:
             for sli, counts, budget in (
-                ("latency", self._latency, 1.0 - policy.latency_target),
-                (
-                    "availability",
-                    self._availability,
-                    1.0 - policy.availability_target,
-                ),
+                ("latency", self._latency, 1.0 - LATENCY_TARGET),
+                ("availability", self._availability, 1.0 - AVAILABILITY_TARGET),
             ):
                 out[sli] = {
-                    "short": _burn(
-                        *counts.totals(policy.short_window_s, now), budget
-                    ),
-                    "long": _burn(
-                        *counts.totals(policy.long_window_s, now), budget
-                    ),
+                    "short": _burn(*counts.totals(SHORT_WINDOW_S, now), budget),
+                    "long": _burn(*counts.totals(LONG_WINDOW_S, now), budget),
                 }
         return out
 
@@ -207,7 +162,7 @@ class SLOTracker:
         )
 
     def breaching(self, now: float | None = None) -> bool:
-        return self.burn_rate(now) >= self.policy.fast_burn_threshold
+        return self.burn_rate(now) >= FAST_BURN_THRESHOLD
 
     def snapshot(self, now: float | None = None) -> dict:
         if now is None:
@@ -215,15 +170,11 @@ class SLOTracker:
         rates = self.burn_rates(now)
         with self._lock:
             requests = self._requests
-            short_lat = self._latency.totals(
-                self.policy.short_window_s, now
-            )
-            short_avail = self._availability.totals(
-                self.policy.short_window_s, now
-            )
+            short_lat = self._latency.totals(SHORT_WINDOW_S, now)
+            short_avail = self._availability.totals(SHORT_WINDOW_S, now)
         return {
             "model": self.model,
-            "policy": self.policy.to_dict(),
+            "policy": objectives(),
             "requests": requests,
             "short_window": {
                 "latency_good": short_lat[0],

@@ -18,13 +18,11 @@ from repro.utils.bitops import (
 )
 from repro.utils.parallel import (
     cpu_count,
-    get_pool,
     iter_shards,
     parallel_map,
-    resolve_workers,
+    resolve_shards,
     shard_slices,
     shutdown_pool,
-    submit,
 )
 from repro.utils.chaos import ACTIONS, CRASH_EXIT_CODE, ChaosConfig
 from repro.utils.retry import RetryPolicy, call_with_retry
@@ -46,13 +44,11 @@ __all__ = [
     "popcount_packed",
     "packed_words",
     "cpu_count",
-    "get_pool",
     "iter_shards",
     "parallel_map",
-    "resolve_workers",
+    "resolve_shards",
     "shard_slices",
     "shutdown_pool",
-    "submit",
     "RetryPolicy",
     "SeedSequenceFactory",
     "call_with_retry",

@@ -1,21 +1,18 @@
-"""Thread pools for sharding bit-kernel work and dispatching batches.
+"""Thread pools for sharding bit-kernel work.
 
 The fused SC kernels (:mod:`repro.sc.kernels`) spend essentially all of
 their time inside numpy ufuncs and fancy indexing, which release the GIL,
 so plain threads scale across cores without pickling the (large) packed
-stream tables the way a process pool would. Two kinds of lazily created,
-module-level :class:`~concurrent.futures.ThreadPoolExecutor` are shared by
-every caller in the process — creating a pool per forward pass would cost
-more than the sharded work:
-
-* **shard pools** (:func:`parallel_map`): helper threads for kernel
-  shards. The calling thread always runs one shard itself and takes back
-  any shard no helper has started yet, so a call finishes even when every
-  helper is busy with another caller's shards — a kernel call made from a
-  serve-dispatch thread cannot deadlock. One pool per helper count, never
-  resized or shut down while the process computes.
-* **the dispatch pool** (:func:`submit`, :func:`get_pool`): the serving
-  dispatcher's threads, one batch each. Kernel calls never touch it.
+stream tables the way a process pool would. The helper threads live in
+lazily created, module-level **shard pools**
+(:class:`~concurrent.futures.ThreadPoolExecutor`, one per helper count,
+never resized or shut down while the process computes) shared by every
+caller in the process — creating a pool per forward pass would cost more
+than the sharded work. The calling thread of :func:`parallel_map` always
+runs one shard itself and takes back any shard no helper has started
+yet, so a call finishes even when every helper is busy with another
+caller's shards: a kernel call made from a serving dispatch thread
+cannot deadlock.
 
 ``num_workers`` convention (used by :class:`repro.scnn.config.SCConfig`):
 
@@ -29,8 +26,8 @@ more than the sharded work:
   on two CPUs run their kernels serially instead of four threads
   fighting for two cores; two serving threads that forward at once in
   one process split its share the same way. The share applies to kernel
-  shards only; ``submit`` and the serving dispatcher resolve ``0`` to
-  one thread per CPU.
+  shards only; each serving ``InferenceService`` runs one dispatch
+  thread per CPU.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ import os
 import sys
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from repro import obs
@@ -48,10 +45,6 @@ from repro.errors import ConfigurationError
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
-
-_POOL: ThreadPoolExecutor | None = None
-_POOL_SIZE = 0
-_POOL_LOCK = threading.Lock()  # guards: _POOL, _POOL_SIZE
 
 _SHARD_POOLS: dict[int, ThreadPoolExecutor] = {}
 _BUSY_SIBLINGS = 1
@@ -103,11 +96,11 @@ def kernel_call(num_workers: int | None) -> Iterator[int]:
             _RUNNING_KERNELS -= 1
 
 
-def resolve_workers(num_workers: int | None) -> int:
-    """Normalize a dispatch ``num_workers`` knob to a thread count.
+def resolve_shards(num_workers: int | None) -> int:
+    """Normalize a kernel ``num_workers`` knob to a shard count.
 
-    ``None``/``1`` mean serial, ``0`` means one thread per CPU, any other
-    positive value is taken literally.
+    ``None``/``1`` mean serial, ``0`` means the process's
+    :func:`kernel_share`, any other positive value is taken literally.
     """
     if num_workers is None:
         return 1
@@ -116,41 +109,8 @@ def resolve_workers(num_workers: int | None) -> int:
             f"num_workers must be >= 0 (0 = auto), got {num_workers}"
         )
     if num_workers == 0:
-        return cpu_count()
-    return int(num_workers)
-
-
-def resolve_shards(num_workers: int | None) -> int:
-    """Normalize a kernel ``num_workers`` knob to a shard count: like
-    :func:`resolve_workers`, except that ``0`` is the process's
-    :func:`kernel_share`."""
-    if num_workers == 0:
         return kernel_share()
-    return resolve_workers(num_workers)
-
-
-def get_pool(workers: int) -> ThreadPoolExecutor:
-    """The dispatch pool of :func:`submit`, rebuilt to exactly
-    ``workers`` threads.
-
-    A request for a *different* size than the current pool rebuilds it
-    (the old behaviour silently reused an oversized pool and measured the
-    wrong configuration). Kernel shards never come here, so a kernel
-    call cannot resize or shut down the pool a dispatcher runs on.
-    """
-    global _POOL, _POOL_SIZE
-    if workers < 1:
-        raise ConfigurationError(f"pool size must be >= 1, got {workers}")
-    with _POOL_LOCK:
-        if _POOL is None or _POOL_SIZE != workers:
-            if _POOL is not None:
-                _POOL.shutdown(wait=False)
-            _POOL = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-dispatch"
-            )
-            _POOL_SIZE = workers
-            obs.gauge("parallel.pool_size", unit="threads").set(workers)
-        return _POOL
+    return int(num_workers)
 
 
 def _shard_pool(helpers: int) -> ThreadPoolExecutor:
@@ -166,14 +126,7 @@ def _shard_pool(helpers: int) -> ThreadPoolExecutor:
 
 
 def shutdown_pool() -> None:
-    """Tear down the dispatch and shard pools (tests / interpreter
-    shutdown)."""
-    global _POOL, _POOL_SIZE
-    with _POOL_LOCK:
-        if _POOL is not None:
-            _POOL.shutdown(wait=True)
-        _POOL = None
-        _POOL_SIZE = 0
+    """Tear down the shard pools (tests / interpreter shutdown)."""
     with _SHARD_LOCK:
         pools = list(_SHARD_POOLS.values())
         _SHARD_POOLS.clear()
@@ -267,28 +220,6 @@ def parallel_map(
             max(durations) * len(durations) / busy
         )
     return results
-
-
-def submit(
-    fn: Callable[..., _R],
-    *args,
-    num_workers: int | None = 0,
-    **kwargs,
-) -> "Future[_R]":
-    """Run ``fn(*args, **kwargs)`` on the dispatch pool; returns a future.
-
-    Fire-and-collect counterpart to :func:`parallel_map` for callers that
-    overlap heterogeneous work instead of sharding one array — the
-    serving dispatcher uses it to keep batches for *different* models in
-    flight concurrently. ``num_workers`` follows :func:`resolve_workers`
-    (``0`` = one thread per CPU); a resolved count of 1 still goes
-    through a single-thread pool so the returned future is uniform.
-    """
-    pool = get_pool(resolve_workers(num_workers))
-    reg = obs.get_registry()
-    if reg.enabled:
-        reg.counter("parallel.submitted").add(1)
-    return pool.submit(fn, *args, **kwargs)
 
 
 def shard_slices(total: int, parts: int) -> list[slice]:

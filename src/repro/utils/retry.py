@@ -1,10 +1,11 @@
 """Retry with exponential backoff + jitter: the one retry loop the repo uses.
 
-Both resilience consumers share this module so their behaviour is
+Every resilience consumer shares this module so their behaviour is
 identical and tested once:
 
-* the serving dispatcher retries a failed batch execution (crashed /
-  stalled / corrupting worker — :mod:`repro.serve.backend`);
+* a serving dispatch thread retries a failed batch execution (crashed /
+  stalled / corrupting worker — :mod:`repro.serve.backend`), and
+  :class:`repro.scnn.pool.MinibatchPool` a failed training forward;
 * :class:`repro.serve.client.HTTPClient` retries backpressure responses
   (429 queue-full, 503 circuit-open), honouring the server's
   ``Retry-After`` hint.
@@ -14,7 +15,9 @@ Design constraints, all test-driven:
 * **Deterministic under test** — jitter comes from an injectable
   ``random.Random``; sleeping goes through an injectable ``sleep``
   callable, so unit tests capture the exact delay sequence without
-  sleeping.
+  sleeping. The backoff's growth (:data:`MULTIPLIER`) and randomized
+  share (:data:`JITTER`) are module constants; a caller sets only the
+  attempt count and the delay bounds.
 * **Server hints are floors, not replacements** — when a caught
   exception carries a ``retry_after_s`` attribute (queue-full /
   circuit-open backpressure), the next delay is at least that value:
@@ -36,23 +39,26 @@ from repro.errors import ConfigurationError
 
 _R = TypeVar("_R")
 
+#: Growth of the backoff delay from one attempt to the next.
+MULTIPLIER = 2.0
+#: Fraction of each backoff delay that is randomized.
+JITTER = 0.5
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
     """Backoff schedule for one retryable operation.
 
     ``max_attempts`` counts *total* tries (1 = no retry). Delay before
-    attempt ``k`` (k >= 2) is ``base_delay_s * multiplier**(k-2)``
+    attempt ``k`` (k >= 2) is ``base_delay_s * MULTIPLIER**(k-2)``
     capped at ``max_delay_s``, then jittered: the final delay is drawn
-    uniformly from ``[delay * (1 - jitter), delay]`` ("equal jitter"
+    uniformly from ``[delay * (1 - JITTER), delay]`` ("equal jitter"
     shrinks, never grows, so the cap still holds).
     """
 
     max_attempts: int = 3
     base_delay_s: float = 0.01
     max_delay_s: float = 0.25
-    multiplier: float = 2.0
-    jitter: float = 0.5  # fraction of each delay that is randomized
 
     def __post_init__(self):
         if self.max_attempts < 1:
@@ -66,22 +72,18 @@ class RetryPolicy:
                 f"max_delay_s ({self.max_delay_s}) must be >= base_delay_s "
                 f"({self.base_delay_s})"
             )
-        if self.multiplier < 1.0:
-            raise ConfigurationError("multiplier must be >= 1")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ConfigurationError("jitter must be in [0, 1]")
 
     def delay_for(self, attempt: int, rng: random.Random | None = None) -> float:
         """Backoff delay taken *after* a failed ``attempt`` (1-based)."""
         if attempt < 1:
             raise ConfigurationError(f"attempt must be >= 1, got {attempt}")
         delay = min(
-            self.base_delay_s * self.multiplier ** (attempt - 1),
+            self.base_delay_s * MULTIPLIER ** (attempt - 1),
             self.max_delay_s,
         )
-        if self.jitter > 0.0 and delay > 0.0:
+        if JITTER > 0.0 and delay > 0.0:
             rng = rng if rng is not None else random
-            delay *= 1.0 - self.jitter * rng.random()
+            delay *= 1.0 - JITTER * rng.random()
         return delay
 
 

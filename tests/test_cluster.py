@@ -13,6 +13,10 @@ kill-a-replica/warm-migration recovery path.
 
 import http.client
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 import urllib.error
@@ -21,6 +25,7 @@ import urllib.request
 import numpy as np
 import pytest
 
+import repro
 from repro import cluster, obs, serve
 from repro.cluster.health import HEARTBEAT_TIMEOUT_S, ReplicaHealth
 from repro.cluster.placement import PlacementRing
@@ -292,6 +297,36 @@ class TestCandidateRanking:
         assert self.order(router) == ["r4", "r0", "r1", "r2", "r3"]
         router._inflight_load["r0"] = 5
         assert self.order(router) == ["r4", "r1", "r2", "r3", "r0"]
+
+
+def test_manager_pins_the_router_allocator():
+    """A router's process builds no stream table: constructing its
+    ReplicaManager pins the allocator, before any table build and
+    before any of the router's threads exist."""
+    script = textwrap.dedent(
+        f"""
+        import sys
+        sys.path.insert(0, {os.path.dirname(repro.__path__[0])!r})
+        from repro import cluster
+        from repro.cluster.workload import fixed_service_model
+        from repro.scnn.sim import _pin_malloc_parameters, table_cache_stats
+
+        model, shape = fixed_service_model(service_ms=1.0)
+        before = _pin_malloc_parameters.cache_info().misses
+        cluster.ReplicaManager(
+            [cluster.ClusterModel("m", model, shape)], num_replicas=1
+        )
+        after = _pin_malloc_parameters.cache_info().misses
+        print(before, after, table_cache_stats()["misses"])
+        """
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "1", "0"]
 
 
 # -- end to end: two replica processes behind the router ----------------------

@@ -179,3 +179,24 @@ class TestCLI:
     def test_cli_ablations(self, capsys):
         assert cli_main(["ablations"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_cli_top_watches_endpoints(self, monkeypatch):
+        """``--endpoint`` is top's one spelling: without it top watches
+        127.0.0.1:8080, with it every given frontend's /metrics."""
+        from repro.serve import top
+
+        watched = []
+        monkeypatch.setattr(
+            top, "run_top", lambda urls, **_: watched.append(urls) or 0
+        )
+        assert cli_main(["top", "--once"]) == 0
+        assert cli_main(
+            ["top", "--once", "--endpoint", "h:1", "--endpoint",
+             "http://h:2/metrics"]
+        ) == 0
+        assert watched == [
+            ["http://127.0.0.1:8080/metrics"],
+            ["http://h:1/metrics", "http://h:2/metrics"],
+        ]
+        with pytest.raises(SystemExit):
+            cli_main(["top", "--url", "h:1"])

@@ -1,8 +1,7 @@
-"""Tests for the shard and dispatch pools (:mod:`repro.utils.parallel`)."""
+"""Tests for the kernel shard pools (:mod:`repro.utils.parallel`)."""
 
 import sys
 import threading
-from concurrent.futures import wait
 from unittest import mock
 
 import numpy as np
@@ -11,17 +10,13 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.utils import parallel
 from repro.utils.parallel import (
-    cpu_count,
-    get_pool,
     iter_shards,
     kernel_share,
     parallel_map,
     resolve_shards,
-    resolve_workers,
     set_busy_siblings,
     shard_slices,
     shutdown_pool,
-    submit,
 )
 
 
@@ -33,19 +28,24 @@ def siblings():
 
 
 class TestResolveWorkers:
+    """How a ``num_workers`` knob resolves to a shard count."""
+
     def test_none_and_one_are_serial(self):
-        assert resolve_workers(None) == 1
-        assert resolve_workers(1) == 1
+        assert resolve_shards(None) == 1
+        assert resolve_shards(1) == 1
 
     def test_zero_means_cpu_count(self):
-        assert resolve_workers(0) == cpu_count()
+        """A lone kernel call in a process with no busy siblings gets
+        every CPU."""
+        with mock.patch.object(parallel, "cpu_count", return_value=4):
+            assert resolve_shards(0) == 4
 
     def test_explicit_count_passes_through(self):
-        assert resolve_workers(5) == 5
+        assert resolve_shards(5) == 5
 
     def test_negative_rejected(self):
         with pytest.raises(ConfigurationError):
-            resolve_workers(-1)
+            resolve_shards(-1)
 
 
 class TestKernelShare:
@@ -62,8 +62,6 @@ class TestKernelShare:
             assert resolve_shards(0) == 2
             siblings(8)
             assert kernel_share() == 1  # never below one shard
-            # Dispatch parallelism ignores the share.
-            assert resolve_workers(0) == 4
 
     def test_running_kernel_calls_split_the_share(self):
         """Kernel calls that run at once (two serving threads) split the
@@ -212,20 +210,49 @@ class TestParallelMap:
 
 class TestDeadlockFreedom:
     def test_sharded_calls_from_dispatch_threads_finish(self):
-        """Two dispatch tasks fill a 2-thread dispatch pool and each
-        shards a call two ways: helpers must never be the only way
-        forward (the calls used to share one pool and wait forever)."""
+        """Two threads, as two serving dispatch threads, each shard calls
+        two ways at once, so they compete for one helper: helpers must
+        never be the only way forward (the calls used to share one pool
+        and wait forever), and a sharded fused kernel run off the main
+        thread equals the serial one."""
+        from repro.sc.kernels import fused_conv_counts
+
+        rng = np.random.default_rng(3)
+        words = (2, 3, 3, 3, 1)  # (Cout, Cin, KH, KW, words)
+        operands = (
+            rng.integers(0, 2**32, size=(4, 32, 1), dtype=np.uint64),
+            rng.integers(0, 4, size=(3, 3, 3)),
+            rng.integers(0, 32, size=(2, 3, 3, 3, 12)),
+            rng.integers(0, 2**32, size=words, dtype=np.uint64),
+            rng.integers(0, 2**32, size=words, dtype=np.uint64),
+        )
+        serial = fused_conv_counts(*operands, "pbw", num_workers=1)
         shutdown_pool()
+        start = threading.Barrier(2)
+        results = {}
 
         def task(k):
-            return parallel_map(lambda v: (k, v), [0, 1], 2)
+            start.wait(timeout=10)
+            mapped = parallel_map(lambda v: (k, v), [0, 1], 2)
+            counts = [
+                fused_conv_counts(*operands, "pbw", num_workers=workers)
+                for workers in (2, 4, 0)
+            ]
+            results[k] = mapped, counts
 
-        futures = [submit(task, k, num_workers=2) for k in range(2)]
-        done, _ = wait(futures, timeout=10)
-        assert len(done) == 2
-        assert [f.result() for f in futures] == [
-            [(0, 0), (0, 1)], [(1, 0), (1, 1)]
+        threads = [
+            threading.Thread(target=task, args=(k,)) for k in range(2)
         ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        for k in range(2):
+            mapped, counts = results[k]
+            assert mapped == [(k, 0), (k, 1)]
+            for sharded in counts:
+                np.testing.assert_array_equal(sharded, serial)
         shutdown_pool()
 
     def test_concurrent_callers_run_every_job_once(self):
@@ -267,36 +294,6 @@ class TestDeadlockFreedom:
         assert wrong == []
         assert runs == [rounds] * len(runs)
 
-    def test_kernel_call_keeps_the_dispatch_pool(self):
-        """A sharded kernel call never resizes or shuts down the pool a
-        dispatcher runs on."""
-        from repro.sc.kernels import fused_conv_counts
-
-        rng = np.random.default_rng(3)
-        words = (2, 3, 3, 3, 1)  # (Cout, Cin, KH, KW, words)
-        operands = (
-            rng.integers(0, 2**32, size=(4, 32, 1), dtype=np.uint64),
-            rng.integers(0, 4, size=(3, 3, 3)),
-            rng.integers(0, 32, size=(2, 3, 3, 3, 12)),
-            rng.integers(0, 2**32, size=words, dtype=np.uint64),
-            rng.integers(0, 2**32, size=words, dtype=np.uint64),
-        )
-        shutdown_pool()
-        dispatch = get_pool(3)
-        serial = fused_conv_counts(*operands, "pbw", num_workers=1)
-        for workers in (2, 4, 0):
-            sharded = submit(
-                lambda w=workers: fused_conv_counts(
-                    *operands, "pbw", num_workers=w
-                ),
-                num_workers=3,
-            ).result(timeout=30)
-            np.testing.assert_array_equal(sharded, serial)
-            parallel_map(lambda v: v, [0, 1, 2], workers)
-        assert get_pool(3) is dispatch
-        assert not dispatch._shutdown
-        shutdown_pool()
-
 
 class TestPool:
     def test_shard_pools_are_fixed_size_and_kept(self):
@@ -307,20 +304,3 @@ class TestPool:
         parallel_map(lambda v: v, list(range(6)), 2)
         assert parallel._shard_pool(2) is pool  # other sizes add pools
         shutdown_pool()
-
-    def test_pool_reused_and_rebuilt(self):
-        shutdown_pool()
-        small = get_pool(2)
-        assert get_pool(2) is small
-        big = get_pool(4)
-        assert big is not small
-        # A different worker count rebuilds at the exact size: a later
-        # get_pool(3) must not silently hand back an oversized pool.
-        three = get_pool(3)
-        assert three is not big
-        assert three._max_workers == 3
-        shutdown_pool()
-
-    def test_invalid_size_rejected(self):
-        with pytest.raises(ConfigurationError):
-            get_pool(0)

@@ -37,7 +37,10 @@ from repro.serve.backend import (
     _validate_logits,
     make_backend,
 )
+from repro.serve import breaker as breaker_module
+from repro.serve import service as service_module
 from repro.serve.breaker import CLOSED, HALF_OPEN, OPEN, BreakerPolicy, CircuitBreaker
+from repro.utils import retry as retry_module
 from repro.utils.chaos import ChaosConfig
 from repro.serve.policy import DegradeController, ServePolicy
 from repro.serve.registry import ModelRegistry
@@ -93,6 +96,12 @@ def _sc_batch(n, seed=0):
     return rng.uniform(0, 1, (n, *SC_INPUT_SHAPE)).astype(np.float32)
 
 
+@pytest.fixture
+def no_jitter(monkeypatch):
+    """Backoff delays at their nominal values."""
+    monkeypatch.setattr(retry_module, "JITTER", 0.0)
+
+
 def _registry_records(entry):
     """Pool-worker task: whether telemetry is on in the worker, and how
     many spans and profiles its registry holds."""
@@ -108,31 +117,21 @@ class TestRetryPolicy:
             RetryPolicy(base_delay_s=-1)
         with pytest.raises(ConfigurationError):
             RetryPolicy(base_delay_s=0.5, max_delay_s=0.1)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(multiplier=0.5)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(jitter=1.5)
 
-    def test_exponential_schedule_without_jitter(self):
-        policy = RetryPolicy(
-            base_delay_s=0.01, max_delay_s=1.0, multiplier=2.0, jitter=0.0
-        )
+    def test_exponential_schedule_without_jitter(self, no_jitter):
+        policy = RetryPolicy(base_delay_s=0.01, max_delay_s=1.0)
         delays = [policy.delay_for(k) for k in (1, 2, 3, 4)]
         assert delays == [0.01, 0.02, 0.04, 0.08]
 
-    def test_delay_capped_at_max(self):
-        policy = RetryPolicy(
-            base_delay_s=0.1, max_delay_s=0.25, multiplier=10.0, jitter=0.0
-        )
+    def test_delay_capped_at_max(self, no_jitter):
+        policy = RetryPolicy(base_delay_s=0.1, max_delay_s=0.25)
         assert policy.delay_for(5) == 0.25
 
     def test_jitter_shrinks_never_grows(self):
-        policy = RetryPolicy(base_delay_s=0.1, max_delay_s=1.0, jitter=0.5)
+        policy = RetryPolicy(base_delay_s=0.1, max_delay_s=1.0)
         rng = random.Random(7)
         for attempt in (1, 2, 3):
-            nominal = RetryPolicy(
-                base_delay_s=0.1, max_delay_s=1.0, jitter=0.0
-            ).delay_for(attempt)
+            nominal = min(0.1 * 2.0 ** (attempt - 1), 1.0)
             for _ in range(20):
                 delay = policy.delay_for(attempt, rng)
                 assert nominal * 0.5 <= delay <= nominal
@@ -142,12 +141,10 @@ class TestRetryPolicy:
             RetryPolicy().delay_for(0)
 
 
+@pytest.mark.usefixtures("no_jitter")
 class TestCallWithRetry:
     def policy(self, **kw):
-        base = dict(
-            max_attempts=3, base_delay_s=0.01, max_delay_s=1.0,
-            multiplier=2.0, jitter=0.0,
-        )
+        base = dict(max_attempts=3, base_delay_s=0.01, max_delay_s=1.0)
         base.update(kw)
         return RetryPolicy(**base)
 
@@ -236,18 +233,15 @@ class TestCallWithRetry:
 
 
 class TestCircuitBreaker:
-    def breaker(self, clock, **kw):
-        base = dict(failure_threshold=3, reset_s=5.0, half_open_probes=1)
-        base.update(kw)
-        return CircuitBreaker("m", BreakerPolicy(**base), clock=clock)
+    def breaker(self, clock):
+        policy = BreakerPolicy(failure_threshold=3, reset_s=5.0)
+        return CircuitBreaker("m", policy, clock=clock)
 
     def test_policy_validation(self):
         with pytest.raises(ConfigurationError):
             BreakerPolicy(failure_threshold=0)
         with pytest.raises(ConfigurationError):
             BreakerPolicy(reset_s=-1)
-        with pytest.raises(ConfigurationError):
-            BreakerPolicy(half_open_probes=0)
 
     def test_trips_after_consecutive_failures(self):
         b = self.breaker(FakeClock())
@@ -277,9 +271,10 @@ class TestCircuitBreaker:
         assert b.retry_after_s() == pytest.approx(3.0)
         assert b.to_dict()["retry_after_s"] == pytest.approx(3.0)
 
-    def test_half_open_admits_bounded_probes(self):
+    def test_half_open_admits_bounded_probes(self, monkeypatch):
+        monkeypatch.setattr(breaker_module, "HALF_OPEN_PROBES", 2)
         clock = FakeClock()
-        b = self.breaker(clock, half_open_probes=2)
+        b = self.breaker(clock)
         for _ in range(3):
             b.record_failure()
         clock.advance(5.1)
@@ -468,8 +463,7 @@ class TestServiceResilience:
             max_wait_s=0.0,
             max_queue=16,
             retry=RetryPolicy(
-                max_attempts=3, base_delay_s=0.001, max_delay_s=0.002,
-                jitter=0.0,
+                max_attempts=3, base_delay_s=0.001, max_delay_s=0.002
             ),
         )
         base.update(policy_kw)
@@ -507,12 +501,14 @@ class TestServiceResilience:
         assert stats["requests"]["failed"] == 1
         assert stats["accounting"]["balanced"]
 
-    def test_repeated_failures_open_the_breaker(self):
+    def test_repeated_failures_open_the_breaker(self, monkeypatch):
+        monkeypatch.setattr(
+            service_module, "BREAKER",
+            BreakerPolicy(failure_threshold=2, reset_s=60.0),
+        )
         backend = _FlakyBackend(failures=10_000)
         service = self.make_service(
-            backend,
-            retry=RetryPolicy(max_attempts=1),
-            breaker=serve.BreakerPolicy(failure_threshold=2, reset_s=60.0),
+            backend, retry=RetryPolicy(max_attempts=1)
         )
         x = np.zeros(8, np.float32)
         with service:
@@ -528,7 +524,11 @@ class TestServiceResilience:
         assert stats["resilience"]["breakers"]["fp"]["state"] == "open"
         assert stats["accounting"]["balanced"]
 
-    def test_breaker_probe_recovers_service(self):
+    def test_breaker_probe_recovers_service(self, monkeypatch):
+        monkeypatch.setattr(
+            service_module, "BREAKER",
+            BreakerPolicy(failure_threshold=2, reset_s=5.0),
+        )
         clock = FakeClock()
         backend = _FlakyBackend(failures=2)
         registry = ModelRegistry()
@@ -539,7 +539,6 @@ class TestServiceResilience:
             max_queue=16,
             default_deadline_s=None,
             retry=RetryPolicy(max_attempts=1),
-            breaker=serve.BreakerPolicy(failure_threshold=2, reset_s=5.0),
         )
         service = serve.InferenceService(
             registry, policy, clock=clock, backend=backend
@@ -560,9 +559,9 @@ class TestServiceResilience:
         )
 
     def test_expired_at_dequeue_counted_and_failed(self):
-        # Dispatcher not started: drive the dequeue path by hand so the
-        # deadline can pass *between* batch release and execution (the
-        # batch "sat behind the in-flight semaphore").
+        # Dispatch threads not started: drive the dequeue path by hand
+        # so the deadline can pass *between* batch release and
+        # execution.
         clock = FakeClock()
         registry = ModelRegistry()
         registry.register("fp", _fp_model(), input_shape=(8,), warm=False)
@@ -577,7 +576,7 @@ class TestServiceResilience:
         batch, expired = service.batcher.next_batch(timeout=0.1)
         assert batch == [request] and expired == []  # live at release
         clock.advance(0.1)  # deadline passes post-release
-        service._in_flight += 1  # what _dispatch_loop does before submit
+        service._in_flight += 1  # what _dispatch_loop does before running
         service._run_batch(batch)
         with pytest.raises(Exception, match="at dequeue"):
             request.future.result(timeout=1)

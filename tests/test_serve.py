@@ -27,7 +27,9 @@ from repro.errors import (
 from repro.models.cnn4 import cnn4_sc
 from repro.scnn import SCConfig
 from repro.scnn.layers import SCConv2d, set_stream_lengths
+from repro.serve import service as service_module
 from repro.serve.batcher import MicroBatcher, PendingRequest
+from repro.serve.breaker import BreakerPolicy
 from repro.serve.policy import DegradeController, ServePolicy
 from repro.serve.registry import MIN_TIER_LENGTH, ModelRegistry, tier_ladder
 from repro.utils.retry import RetryPolicy
@@ -459,31 +461,6 @@ class TestServiceIntegration:
             service.policy.retry_after_s()
         )
 
-    def test_client_retry_absorbs_backpressure(self):
-        """An in-process Client with a retry policy hides a transient
-        queue-full from the caller (honouring the server's hint)."""
-        service, _ = self.make_service()
-        real_predict = service.predict
-        calls = []
-
-        def flaky_predict(model, x, deadline_s=-1.0):
-            calls.append(1)
-            if len(calls) == 1:
-                raise QueueFullError("full", retry_after_s=0.0)
-            return real_predict(model, x, deadline_s)
-
-        service.predict = flaky_predict
-        client = serve.Client(
-            service,
-            retry=RetryPolicy(
-                max_attempts=3, base_delay_s=0.0, max_delay_s=0.0, jitter=0.0
-            ),
-        )
-        with service:
-            result = client.predict("fp", np.zeros(8, np.float32))
-        assert result.outputs.shape == (3,)
-        assert len(calls) == 2
-
 
 class TestConcurrentReconfigure:
     def test_forwards_race_tier_flips_without_torn_state(self):
@@ -669,9 +646,13 @@ class TestHTTPServer:
             server.shutdown()
             service.stop()
 
-    def test_http_503_when_breaker_open(self):
+    def test_http_503_when_breaker_open(self, monkeypatch):
         """A repeatedly failing model maps to 500 first (the crash), then
         503 + Retry-After once the breaker opens."""
+        monkeypatch.setattr(
+            service_module, "BREAKER",
+            BreakerPolicy(failure_threshold=1, reset_s=60.0),
+        )
 
         class _CrashingBackend(serve.InThreadBackend):
             def run(self, entry, batch, tier, timeout_s=None):
@@ -684,7 +665,6 @@ class TestHTTPServer:
             max_wait_s=0.0,
             max_queue=16,
             retry=RetryPolicy(max_attempts=1),
-            breaker=serve.BreakerPolicy(failure_threshold=1, reset_s=60.0),
         )
         service = serve.InferenceService(
             registry, policy, backend=_CrashingBackend()
@@ -709,7 +689,7 @@ class TestHTTPServer:
         client = serve.HTTPClient(
             "http://unused.invalid",
             retry=RetryPolicy(
-                max_attempts=3, base_delay_s=0.0, max_delay_s=0.0, jitter=0.0
+                max_attempts=3, base_delay_s=0.0, max_delay_s=0.0
             ),
         )
         calls = []
@@ -761,6 +741,83 @@ class _SlowModel(nn.layers.Module):
 
         time.sleep(self.service_s)
         return self.head(x)
+
+
+class _ThreadRecordingBackend(serve.InThreadBackend):
+    """In-thread backend that keeps every thread a batch ran on (the
+    objects, not their idents, which the OS reuses)."""
+
+    def __init__(self, capacity=1):
+        super().__init__()
+        self.capacity = capacity
+        self.threads = []
+
+    def run(self, entry, batch, tier, timeout_s=None):
+        self.threads.append(threading.current_thread())
+        return super().run(entry, batch, tier, timeout_s=timeout_s)
+
+
+class TestDispatchThreads:
+    def _service(self, backend, service_s=0.002):
+        registry = ModelRegistry()
+        registry.register(
+            "fp", _SlowModel(service_s=service_s), input_shape=(8,),
+            warm=False,
+        )
+        policy = ServePolicy(
+            max_batch=2, max_wait_s=0.001, max_queue=128,
+            default_deadline_s=None,
+        )
+        return serve.InferenceService(registry, policy, backend=backend)
+
+    def test_services_run_batches_on_their_own_threads(self):
+        """Two services in one process serve 100 concurrent requests
+        each: each one's batches run on at most its own parallelism of
+        threads, and no thread runs batches of both."""
+        from repro.utils.parallel import cpu_count
+
+        backends = [_ThreadRecordingBackend(), _ThreadRecordingBackend(3)]
+        services = [self._service(backend) for backend in backends]
+        x = np.zeros(8, np.float32)
+        for service in services:
+            service.start()
+        try:
+            pending = [
+                service.submit("fp", x)[0]
+                for _ in range(100)
+                for service in services
+            ]
+            for request in pending:
+                assert request.future.result(timeout=30).outputs.shape == (3,)
+            parallelism = [
+                service.stats()["resilience"]["dispatch_parallelism"]
+                for service in services
+            ]
+        finally:
+            for service in services:
+                service.stop()
+        assert parallelism == [cpu_count(), max(cpu_count(), 3)]
+        ran_on = [set(backend.threads) for backend in backends]
+        for threads, limit in zip(ran_on, parallelism):
+            assert 1 <= len(threads) <= limit
+        assert not ran_on[0] & ran_on[1]
+
+    def test_stop_returns_after_the_running_batch(self):
+        """stop() during a 0.3 s forward returns only once that
+        request's answer is in."""
+        started = threading.Event()
+
+        class _Signalling(serve.InThreadBackend):
+            def run(self, entry, batch, tier, timeout_s=None):
+                started.set()
+                return super().run(entry, batch, tier, timeout_s=timeout_s)
+
+        service = self._service(_Signalling(), service_s=0.3).start()
+        request, _ = service.submit("fp", np.zeros(8, np.float32))
+        assert started.wait(timeout=10)
+        service.stop()
+        assert request.future.done()
+        assert request.future.result().outputs.shape == (3,)
 
 
 class TestGracefulDrain:
@@ -871,9 +928,17 @@ class TestGracefulDrain:
     def test_install_graceful_shutdown_on_sigterm(self):
         import os
         import signal
-        import time
 
+        before = set(threading.enumerate())
         _, service, server = self._stack()
+        dispatch = [
+            thread for thread in threading.enumerate()
+            if thread not in before
+            and thread.name.startswith("serve-dispatch")
+        ]
+        assert len(dispatch) == (
+            service.stats()["resilience"]["dispatch_parallelism"]
+        )
         done = threading.Event()
         previous = signal.getsignal(signal.SIGTERM)
         try:
@@ -883,11 +948,9 @@ class TestGracefulDrain:
             os.kill(os.getpid(), signal.SIGTERM)
             assert done.wait(timeout=10.0)
             assert server.draining
-            deadline = time.monotonic() + 5.0
-            while service._dispatcher is not None and time.monotonic() < deadline:
-                time.sleep(0.01)
             assert service._stop.is_set()
-            assert service._dispatcher is None  # service fully stopped
+            # on_done runs after stop() returned: fully stopped.
+            assert not any(thread.is_alive() for thread in dispatch)
         finally:
             signal.signal(signal.SIGTERM, previous)
 
@@ -895,9 +958,9 @@ class TestGracefulDrain:
 class TestShardedServing:
     def test_concurrent_sharded_batches_match_in_process(self):
         """Two models whose kernels shard two ways serve two batches at
-        once from the dispatch pool; every answer equals the in-process
-        forward bit for bit (kernel shards take helpers from their own
-        pool and the dispatch threads run shards themselves)."""
+        once on the service's dispatch threads; every answer equals the
+        in-process forward bit for bit (kernel shards take helpers from
+        their own pool and the dispatch threads run shards themselves)."""
         from repro.nn.tensor import Tensor, no_grad
 
         registry = ModelRegistry()
@@ -912,8 +975,7 @@ class TestShardedServing:
             )
             registry.register(name, models[name], input_shape=(1, 8, 8), warm=False)
         policy = ServePolicy(
-            max_batch=4, max_wait_s=0.05, dispatch_workers=2,
-            default_deadline_s=None, slo=None,
+            max_batch=4, max_wait_s=0.05, default_deadline_s=None
         )
         xs = np.random.default_rng(7).uniform(0, 1, (4, 1, 8, 8))
         xs = xs.astype(np.float32)

@@ -5,8 +5,8 @@ shape."""
 import pytest
 
 from repro import obs
-from repro.errors import ConfigurationError
-from repro.serve.slo import SLOPolicy, SLOTracker, slo_families
+from repro.serve import slo
+from repro.serve.slo import SLOTracker, slo_families
 
 
 @pytest.fixture(autouse=True)
@@ -14,6 +14,20 @@ def fresh_registry():
     obs.reset()
     yield
     obs.reset()
+
+
+@pytest.fixture(autouse=True)
+def easy_objectives(monkeypatch):
+    """Objectives with easy numbers: budgets of 0.1, short windows."""
+    for name, value in (
+        ("LATENCY_OBJECTIVE_MS", 100.0),
+        ("LATENCY_TARGET", 0.9),
+        ("AVAILABILITY_TARGET", 0.9),
+        ("SHORT_WINDOW_S", 10.0),
+        ("LONG_WINDOW_S", 60.0),
+        ("FAST_BURN_THRESHOLD", 5.0),
+    ):
+        monkeypatch.setattr(slo, name, value)
 
 
 class FakeClock:
@@ -28,35 +42,8 @@ class FakeClock:
         return self.now
 
 
-def _tracker(clock, **overrides):
-    defaults = dict(
-        latency_objective_ms=100.0,
-        latency_target=0.9,  # budget 0.1 — easy numbers
-        availability_target=0.9,
-        short_window_s=10.0,
-        long_window_s=60.0,
-        fast_burn_threshold=5.0,
-    )
-    defaults.update(overrides)
-    return SLOTracker("m", SLOPolicy(**defaults), clock=clock)
-
-
-class TestSLOPolicy:
-    def test_validates(self):
-        with pytest.raises(ConfigurationError):
-            SLOPolicy(latency_objective_ms=0)
-        with pytest.raises(ConfigurationError):
-            SLOPolicy(latency_target=1.0)
-        with pytest.raises(ConfigurationError):
-            SLOPolicy(availability_target=0.0)
-        with pytest.raises(ConfigurationError):
-            SLOPolicy(short_window_s=300.0, long_window_s=60.0)
-        with pytest.raises(ConfigurationError):
-            SLOPolicy(fast_burn_threshold=-1)
-
-    def test_dict_round_trip(self):
-        policy = SLOPolicy(latency_objective_ms=123.0)
-        assert SLOPolicy.from_dict(policy.to_dict()) == policy
+def _tracker(clock):
+    return SLOTracker("m", clock=clock)
 
 
 class TestBurnRates:
@@ -130,6 +117,8 @@ class TestBurnRates:
         assert snap["requests"] == 1
         assert set(snap["burn_rates"]) == {"latency", "availability"}
         assert snap["breaching"] is False
+        assert snap["policy"] == slo.objectives()
+        assert snap["policy"]["latency_objective_ms"] == 100.0
 
 
 class TestPrometheusExport:

@@ -36,6 +36,7 @@ from repro.scnn import (
     train_model,
     write_resume_marker,
 )
+from repro.scnn import pool as pool_module
 from repro.utils import ChaosConfig, RetryPolicy
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -511,8 +512,7 @@ class TestMinibatchPool:
         model = build_model()
         chaos = ChaosConfig(crash_rate=0.2, seed=7)
         with MinibatchPool(
-            model, input_shape=INPUT_SHAPE, num_workers=2, chaos=chaos,
-            seed=0,
+            model, input_shape=INPUT_SHAPE, num_workers=2, chaos=chaos
         ) as pool:
             result = train_model(model, train, test, pool=pool, **TRAIN_KW)
             stats = pool.stats()
@@ -524,19 +524,23 @@ class TestMinibatchPool:
         assert stats["pooled"] + stats["fallbacks"] == stats["batches"]
         assert not stats["degraded"]
 
-    def test_total_worker_loss_degrades_to_in_process(self, data):
+    def test_total_worker_loss_degrades_to_in_process(
+        self, data, monkeypatch
+    ):
         train, test = data
         ref_model = build_model()
         ref = train_model(ref_model, train, test, **TRAIN_KW)
 
         model = build_model()
         chaos = ChaosConfig(crash_rate=1.0, seed=3)  # every attempt dies
-        retry = RetryPolicy(
-            max_attempts=2, base_delay_s=0.001, max_delay_s=0.002
+        monkeypatch.setattr(
+            pool_module, "RETRY",
+            RetryPolicy(max_attempts=2, base_delay_s=0.001, max_delay_s=0.002),
         )
+        monkeypatch.setattr(pool_module, "DEGRADE_AFTER", 1)
+        monkeypatch.setattr(pool_module, "BATCH_TIMEOUT_S", 30.0)
         with MinibatchPool(
-            model, input_shape=INPUT_SHAPE, num_workers=2, chaos=chaos,
-            retry=retry, degrade_after=1, batch_timeout_s=30.0, seed=0,
+            model, input_shape=INPUT_SHAPE, num_workers=2, chaos=chaos
         ) as pool:
             result = train_model(model, train, test, pool=pool, **TRAIN_KW)
             stats = pool.stats()
@@ -560,7 +564,7 @@ def test_corrupting_pool_run_bit_identical(data):
     # batch is corrupted whichever worker takes it.
     chaos = ChaosConfig(corrupt_rate=0.3, seed=11)
     with MinibatchPool(
-        model, input_shape=INPUT_SHAPE, num_workers=2, chaos=chaos, seed=0,
+        model, input_shape=INPUT_SHAPE, num_workers=2, chaos=chaos
     ) as pool:
         result = train_model(model, train, test, pool=pool, **TRAIN_KW)
         stats = pool.stats()
