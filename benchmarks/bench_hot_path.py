@@ -162,10 +162,7 @@ def run_hot_path(reps: int = 5) -> dict:
             "fused_mt_vs_fused": geomean("fused_mt_vs_fused"),
         },
         "table_cache": table_cache_stats(),
-        "telemetry": {
-            "enabled": obs.enabled(),
-            "counters": obs.get_registry().counters(),
-        },
+        "telemetry": {"counters": obs.get_registry().counters()},
         "notes": (
             "'seed' is the pre-fused hot path (reference engine + byte-LUT "
             "popcount). Worker scaling (fused_mt) requires >1 CPU; on a "

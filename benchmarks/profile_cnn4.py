@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """A small profiled CNN-4 forward: the telemetry smoke artifact.
 
-Runs one bit-true CNN-4 forward pass with telemetry (:mod:`repro.obs`)
-enabled, exports ``<base>.jsonl`` + ``<base>.trace.json``, prints the
+Runs one bit-true CNN-4 forward pass, exports the telemetry
+(:mod:`repro.obs`) as ``<base>.jsonl`` + ``<base>.trace.json``, prints the
 span/counter summary tree, and *validates* the artifacts: both files
 must parse as JSON, the trace must contain per-layer
 ``scnn.conv_forward`` spans, and the bit-op / stream-table-cache
@@ -72,10 +72,9 @@ def main() -> int:
     args = parser.parse_args()
 
     obs.reset()
-    with obs.enabled_scope(True):
-        run_forward(args.batch, args.input_size, args.stream_length)
-        jsonl, trace = obs.export_profile(args.profile)
-        print(obs.summary_tree())
+    run_forward(args.batch, args.input_size, args.stream_length)
+    jsonl, trace = obs.export_profile(args.profile)
+    print(obs.summary_tree())
     print(f"wrote {jsonl} and {trace}")
 
     failures = validate(jsonl, trace)

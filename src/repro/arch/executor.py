@@ -99,23 +99,20 @@ class Executor:
                         f"program exceeded {self.max_cycles} cycles"
                     )
         reg = obs.get_registry()
-        if reg.enabled:
-            # Instruction-class cycle mix, aggregated once per program so
-            # the per-instruction loop stays counter-free.
-            for name, cycles in state.cycle_histogram.items():
-                reg.counter(f"executor.cycles.{name}", unit="cycles").add(
-                    cycles
-                )
-            reg.counter("executor.instructions").add(len(state.trace))
-            reg.add_profile(
-                {
-                    "kind": "executor_run",
-                    "instructions": len(state.trace),
-                    "cycle": state.cycle,
-                    "cycle_histogram": dict(state.cycle_histogram),
-                    "wall_s": sp.wall_s,
-                }
-            )
+        # Instruction-class cycle mix, aggregated once per program so the
+        # per-instruction loop stays counter-free.
+        for name, cycles in state.cycle_histogram.items():
+            reg.counter(f"executor.cycles.{name}", unit="cycles").add(cycles)
+        reg.counter("executor.instructions").add(len(state.trace))
+        reg.add_profile(
+            {
+                "kind": "executor_run",
+                "instructions": len(state.trace),
+                "cycle": state.cycle,
+                "cycle_histogram": dict(state.cycle_histogram),
+                "wall_s": sp.wall_s,
+            }
+        )
         return state
 
     # -- internals ----------------------------------------------------------

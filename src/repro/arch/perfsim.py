@@ -197,23 +197,22 @@ def simulate(
                 energy_pj=_layer_energy(program, arch, blocks, vdd),
             )
             layer_reports.append(perf)
-            if reg.enabled:
-                reg.counter("perfsim.layers").add(1)
-                reg.counter("perfsim.cycles", unit="cycles").add(perf.cycles)
-                reg.add_profile(
-                    {
-                        "kind": "perf_layer",
-                        "arch": arch.name,
-                        "name": perf.name,
-                        "cycles": perf.cycles,
-                        "generation_cycles": perf.generation_cycles,
-                        "stall_cycles": perf.stall_cycles,
-                        "nm_cycles": perf.nm_cycles,
-                        "energy_pj": perf.total_energy_pj,
-                        "utilization": program.utilization,
-                        "instructions": len(program.instructions),
-                    }
-                )
+            reg.counter("perfsim.layers").add(1)
+            reg.counter("perfsim.cycles", unit="cycles").add(perf.cycles)
+            reg.add_profile(
+                {
+                    "kind": "perf_layer",
+                    "arch": arch.name,
+                    "name": perf.name,
+                    "cycles": perf.cycles,
+                    "generation_cycles": perf.generation_cycles,
+                    "stall_cycles": perf.stall_cycles,
+                    "nm_cycles": perf.nm_cycles,
+                    "energy_pj": perf.total_energy_pj,
+                    "utilization": program.utilization,
+                    "instructions": len(program.instructions),
+                }
+            )
 
     return PerfReport(
         arch_name=arch.name,

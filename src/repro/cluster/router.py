@@ -46,6 +46,7 @@ trace shows router → replica → worker rows.
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 import time
@@ -357,8 +358,12 @@ class ClusterRouter:
                 self._failovers.add(1)
                 last_error = error
                 continue
-            except (urllib.error.URLError, OSError, TimeoutError) as error:
-                # Transport failure: the replica is presumed bad.
+            except (
+                urllib.error.URLError, OSError, TimeoutError,
+                http.client.HTTPException,
+            ) as error:
+                # Transport failure (a replica killed mid-reply truncates
+                # it: IncompleteRead): the replica is presumed bad.
                 health.note_result(False)
                 self._failovers.add(1)
                 obs.counter("cluster.transport_failures").add(1)

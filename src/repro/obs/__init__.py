@@ -8,7 +8,7 @@ Usage::
     with obs.span("train.epoch", epoch=3):
         ...
     obs.counter("sc.kernels.bit_ops").add(n_bits)
-    obs.rolling("serve.latency_ms", window_s=60).observe(lat_ms)
+    obs.rolling("serve.latency_ms").observe(lat_ms)   # last 60 s
     obs.add_profile({"kind": "layer_forward", ...})
 
     print(obs.summary_tree())
@@ -25,10 +25,8 @@ Request tracing (cross-thread and cross-process)::
             ...
     obs.write_request_trace("req.trace.json", ctx.trace_id)
 
-Set ``REPRO_OBS=0`` (or call :func:`set_enabled`) to disable: spans
-become a shared no-op, profiles are dropped, and instrumented hot paths
-skip their counter updates. See :mod:`repro.obs.core` for the contract
-and :mod:`repro.obs.trace` for trace-context propagation.
+See :mod:`repro.obs.core` for the primitives and :mod:`repro.obs.trace`
+for trace-context propagation.
 """
 
 from repro.obs import trace
@@ -36,20 +34,16 @@ from repro.obs.core import (
     Counter,
     Gauge,
     Histogram,
-    NOOP_SPAN,
     Registry,
     RollingWindow,
     SpanRecord,
     add_profile,
     counter,
-    enabled,
-    enabled_scope,
     gauge,
     get_registry,
     histogram,
     reset,
     rolling,
-    set_enabled,
     span,
 )
 from repro.obs.export import (
@@ -68,14 +62,11 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "NOOP_SPAN",
     "Registry",
     "RollingWindow",
     "SpanRecord",
     "add_profile",
     "counter",
-    "enabled",
-    "enabled_scope",
     "export_profile",
     "gauge",
     "get_registry",
@@ -85,7 +76,6 @@ __all__ = [
     "render_prometheus",
     "reset",
     "rolling",
-    "set_enabled",
     "span",
     "summary_tree",
     "trace",

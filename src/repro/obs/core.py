@@ -8,31 +8,23 @@ kernels, training loop, and performance model emit:
   worker thread roots its own stack), so traces from ``parallel_map``
   shards interleave without corrupting the caller's stack.
 * **Counters** — monotonic totals (bit-ops executed, popcount words,
-  cache hits, pool tasks). Counter objects are live even when telemetry
-  is disabled: they are plain lock-protected adds, and the backward
-  compatible :func:`repro.scnn.sim.table_cache_stats` is built on them.
-  Instrumentation *sites* on hot paths still gate their updates on
-  :func:`enabled` so the disabled mode stays an overhead-free path.
+  cache hits, pool tasks): plain lock-protected adds, on which
+  :func:`repro.scnn.sim.table_cache_stats` is built.
 * **Gauges** — last-value-wins measurements with a running max
   (pool utilization, shard imbalance, resident cache bytes).
 * **Profiles** — free-form per-layer/per-epoch record dicts (shape,
   mode, stream length, bytes touched, timings) appended by the
-  simulators; dropped entirely in disabled mode.
+  simulators.
 
-Disabled-mode contract (``REPRO_OBS=0`` in the environment, or
-:func:`set_enabled` / :func:`enabled_scope`): :func:`span` returns a
-shared module-level no-op span, :func:`add_profile` discards its record,
-and instrumented call sites skip their counter arithmetic — the hot path
-runs the same ufunc sequence it would without telemetry.
+Telemetry is always on: there is no switch, so every run records what
+every benchmark measures.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -44,19 +36,13 @@ __all__ = [
     "SpanRecord",
     "add_profile",
     "counter",
-    "enabled",
-    "enabled_scope",
     "gauge",
     "get_registry",
     "histogram",
     "reset",
     "rolling",
-    "set_enabled",
     "span",
 ]
-
-#: Environment switch: ``REPRO_OBS=0`` starts the process disabled.
-ENV_FLAG = "REPRO_OBS"
 
 #: Completed-span retention cap; overflow increments ``dropped_spans``
 #: instead of growing without bound during long training runs.
@@ -64,12 +50,6 @@ MAX_SPANS = 200_000
 
 #: Profile-record retention cap (same rationale).
 MAX_PROFILES = 50_000
-
-
-def _env_enabled() -> bool:
-    return os.environ.get(ENV_FLAG, "1").strip().lower() not in (
-        "0", "false", "off", "no",
-    )
 
 
 class Counter:
@@ -148,9 +128,7 @@ class Histogram:
 
     Buckets are defined by ascending upper bounds; a value lands in the
     first bucket whose bound is ``>= value``, with one implicit overflow
-    bucket at the end. Like counters, histograms are live even when
-    telemetry is disabled (plain lock-protected arithmetic); hot call
-    sites should gate on :func:`enabled` themselves if they care.
+    bucket at the end.
     """
 
     __slots__ = ("name", "unit", "bounds", "_counts", "_sum", "_count",
@@ -402,23 +380,6 @@ class SpanRecord:
         return record
 
 
-class _NoopSpan:
-    """Shared do-nothing span returned while telemetry is disabled."""
-
-    __slots__ = ()
-    wall_s = 0.0
-    cpu_s = 0.0
-
-    def __enter__(self) -> "_NoopSpan":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        return False
-
-
-NOOP_SPAN = _NoopSpan()
-
-
 class _Span:
     """Active span: context manager pushing onto the thread's stack."""
 
@@ -483,8 +444,7 @@ class _Span:
 class Registry:
     """Process-wide telemetry store (one module-level instance)."""
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self):
         self._lock = threading.Lock()  # guards: spans, profiles, dropped_spans, dropped_profiles, _counters, _gauges, _histograms, _rollings
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
@@ -507,10 +467,8 @@ class Registry:
             self._local.stack = stack
         return stack
 
-    def span(self, name: str, **attrs):
-        """Context-manager timer; no-op singleton when disabled."""
-        if not self.enabled:
-            return NOOP_SPAN
+    def span(self, name: str, **attrs) -> _Span:
+        """Context-manager timer."""
         return _Span(self, name, attrs)
 
     def _record_span(self, record: SpanRecord) -> None:
@@ -590,7 +548,7 @@ class Registry:
     # -- counters / gauges ---------------------------------------------------
 
     def counter(self, name: str, unit: str = "count") -> Counter:
-        """Get-or-create a live counter (live even when disabled)."""
+        """Get-or-create a live counter."""
         with self._lock:
             c = self._counters.get(name)
             if c is None:
@@ -610,7 +568,7 @@ class Registry:
         bounds: tuple[float, ...] = DEFAULT_BUCKETS,
         unit: str = "count",
     ) -> Histogram:
-        """Get-or-create a live histogram (live even when disabled)."""
+        """Get-or-create a live histogram."""
         with self._lock:
             h = self._histograms.get(name)
             if h is None:
@@ -622,19 +580,13 @@ class Registry:
             items = list(self._histograms.items())
         return {name: h.to_dict() for name, h in items}
 
-    def rolling(
-        self,
-        name: str,
-        window_s: float = DEFAULT_ROLLING_WINDOW_S,
-        unit: str = "value",
-    ) -> RollingWindow:
-        """Get-or-create a live rolling window (live even when disabled)."""
+    def rolling(self, name: str, unit: str = "value") -> RollingWindow:
+        """Get-or-create a live rolling window over the last
+        :data:`DEFAULT_ROLLING_WINDOW_S` seconds."""
         with self._lock:
             r = self._rollings.get(name)
             if r is None:
-                r = self._rollings[name] = RollingWindow(
-                    name, window_s=window_s, unit=unit
-                )
+                r = self._rollings[name] = RollingWindow(name, unit=unit)
             return r
 
     def rollings(self) -> dict[str, dict]:
@@ -657,10 +609,7 @@ class Registry:
     # -- profiles ------------------------------------------------------------
 
     def add_profile(self, record: dict) -> None:
-        """Append a per-layer/per-epoch profile dict (dropped when
-        disabled — the disabled-mode contract is 'profile absent')."""
-        if not self.enabled:
-            return
+        """Append a per-layer/per-epoch profile dict."""
         with self._lock:
             if len(self.profiles) >= MAX_PROFILES:
                 self.dropped_profiles += 1
@@ -704,21 +653,12 @@ class Registry:
         self.epoch_perf = time.perf_counter()
         self.epoch_wall = time.time()
 
-    def snapshot(self) -> dict:
-        """Everything the exporters serialize, as plain data."""
+    def metric_families(self) -> dict:
+        """Every counter, gauge, histogram and rolling window as plain
+        data (no span or profile record is copied)."""
         with self._lock:
-            spans = [s.to_dict() for s in self.spans]
-            profiles = [dict(p) for p in self.profiles]
-            dropped_spans = self.dropped_spans
-            dropped_profiles = self.dropped_profiles
             counters = dict(self._counters)
         return {
-            "meta": {
-                "enabled": self.enabled,
-                "epoch_wall": self.epoch_wall,
-                "dropped_spans": dropped_spans,
-                "dropped_profiles": dropped_profiles,
-            },
             "counters": {
                 name: {"value": c.value, "unit": c.unit}
                 for name, c in counters.items()
@@ -726,38 +666,41 @@ class Registry:
             "gauges": self.gauges(),
             "histograms": self.histograms(),
             "rollings": self.rollings(),
+        }
+
+    def retention(self) -> dict:
+        """The retained span count and both drop counts, read together."""
+        with self._lock:
+            return {
+                "spans": len(self.spans),
+                "dropped_spans": self.dropped_spans,
+                "dropped_profiles": self.dropped_profiles,
+            }
+
+    def snapshot(self) -> dict:
+        """Everything the exporters serialize, as plain data."""
+        with self._lock:
+            spans = [s.to_dict() for s in self.spans]
+            profiles = [dict(p) for p in self.profiles]
+            meta = {
+                "epoch_wall": self.epoch_wall,
+                "dropped_spans": self.dropped_spans,
+                "dropped_profiles": self.dropped_profiles,
+            }
+        return {
+            "meta": meta,
+            **self.metric_families(),
             "spans": spans,
             "profiles": profiles,
         }
 
 
-_REGISTRY = Registry(enabled=_env_enabled())
+_REGISTRY = Registry()
 
 
 def get_registry() -> Registry:
     """The process-wide registry."""
     return _REGISTRY
-
-
-def enabled() -> bool:
-    """Whether spans/profiles are being recorded."""
-    return _REGISTRY.enabled
-
-
-def set_enabled(flag: bool) -> None:
-    """Enable/disable telemetry at runtime (overrides ``REPRO_OBS``)."""
-    _REGISTRY.enabled = bool(flag)
-
-
-@contextmanager
-def enabled_scope(flag: bool):
-    """Temporarily force telemetry on/off (tests, overhead checks)."""
-    saved = _REGISTRY.enabled
-    _REGISTRY.enabled = bool(flag)
-    try:
-        yield _REGISTRY
-    finally:
-        _REGISTRY.enabled = saved
 
 
 def span(name: str, **attrs):
@@ -780,12 +723,8 @@ def histogram(
     return _REGISTRY.histogram(name, bounds, unit)
 
 
-def rolling(
-    name: str,
-    window_s: float = DEFAULT_ROLLING_WINDOW_S,
-    unit: str = "value",
-) -> RollingWindow:
-    return _REGISTRY.rolling(name, window_s, unit)
+def rolling(name: str, unit: str = "value") -> RollingWindow:
+    return _REGISTRY.rolling(name, unit)
 
 
 def add_profile(record: dict) -> None:

@@ -32,7 +32,7 @@ import json
 import re
 from pathlib import Path
 
-from repro.obs.core import Registry, get_registry
+from repro.obs.core import get_registry
 
 __all__ = [
     "export_profile",
@@ -47,13 +47,9 @@ __all__ = [
 ]
 
 
-def _snapshot(registry: Registry | None) -> dict:
-    return (registry or get_registry()).snapshot()
-
-
-def write_jsonl(path: str | Path, registry: Registry | None = None) -> Path:
+def write_jsonl(path: str | Path) -> Path:
     """Write the registry snapshot as JSON-lines; returns the path."""
-    snap = _snapshot(registry)
+    snap = get_registry().snapshot()
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as fh:
@@ -149,9 +145,7 @@ def _span_events(spans: list[dict]) -> tuple[list[dict], float]:
     return events, end_ts
 
 
-def write_chrome_trace(
-    path: str | Path, registry: Registry | None = None
-) -> Path:
+def write_chrome_trace(path: str | Path) -> Path:
     """Write a ``chrome://tracing``-loadable trace; returns the path.
 
     Spans become ``ph: "X"`` complete events (microsecond timestamps
@@ -159,7 +153,7 @@ def write_chrome_trace(
     and one ``tid`` per thread); counters land as a single ``ph: "C"``
     sample at the trace end so the totals are visible on the timeline.
     """
-    snap = _snapshot(registry)
+    snap = get_registry().snapshot()
     events, end_ts = _span_events(snap["spans"])
     for name, c in sorted(snap["counters"].items()):
         events.append(
@@ -199,28 +193,24 @@ def write_spans_trace(
     return path
 
 
-def write_request_trace(
-    path: str | Path, trace_id: str, registry: Registry | None = None
-) -> Path:
+def write_request_trace(path: str | Path, trace_id: str) -> Path:
     """Merged Chrome trace for **one request**: only the spans stamped
     with ``trace_id`` — the frontend's request span, the dispatcher's
     batch spans that included it, and the worker-process spans ingested
     over the pipe — on per-process ``pid`` rows sharing one timeline."""
     from repro.obs.trace import collect_trace
 
-    spans = collect_trace(trace_id, registry)
+    spans = collect_trace(trace_id)
     return write_spans_trace(path, spans, metadata={"trace_id": trace_id})
 
 
-def export_profile(
-    base: str | Path, registry: Registry | None = None
-) -> tuple[Path, Path]:
+def export_profile(base: str | Path) -> tuple[Path, Path]:
     """Write ``<base>.jsonl`` + ``<base>.trace.json`` for one run."""
     base = Path(base)
     if base.suffix in (".jsonl", ".json"):
         base = base.with_suffix("")
-    jsonl = write_jsonl(base.with_suffix(".jsonl"), registry)
-    trace = write_chrome_trace(base.with_suffix(".trace.json"), registry)
+    jsonl = write_jsonl(base.with_suffix(".jsonl"))
+    trace = write_chrome_trace(base.with_suffix(".trace.json"))
     return jsonl, trace
 
 
@@ -272,10 +262,7 @@ def _number(value) -> str:
     return repr(float(value))
 
 
-def render_prometheus(
-    registry: Registry | None = None,
-    extra_families: dict[str, dict] | None = None,
-) -> str:
+def render_prometheus(extra_families: dict[str, dict] | None = None) -> str:
     """The registry as Prometheus text exposition (the ``/metrics`` body).
 
     Counters render as ``<name>_total``, gauges as-is (plus a
@@ -285,15 +272,18 @@ def render_prometheus(
     rolling windows as ``<name>_window`` summaries (``quantile`` labels
     over the sliding window). Registry retention overflow is exported as
     ``obs_dropped_spans_total`` / ``obs_dropped_profiles_total`` so span
-    loss is visible to scrapers instead of silent.
+    loss is visible to scrapers instead of silent. Only the metric
+    objects and the retention counts are read, never the span log, so a
+    scrape costs the same at any number of retained spans.
 
     ``extra_families`` appends caller-computed families (the serve
     frontend uses this for SLO burn rates):
     ``{family: {"type": "gauge", "help": str, "samples":
     [(labels_dict_or_None, value), ...]}}``.
     """
-    registry = registry or get_registry()
-    snap = registry.snapshot()
+    registry = get_registry()
+    snap = registry.metric_families()
+    retention = registry.retention()
     lines: list[str] = []
 
     def family(name: str, kind: str, help_text: str | None = None) -> None:
@@ -339,19 +329,20 @@ def render_prometheus(
         mean = r.get("mean") or 0.0
         lines.append(f"{fam}_sum {_number(mean * r['count'])}")
         lines.append(f"{fam}_count {r['count']}")
-    meta = snap["meta"]
     family(
         "obs_dropped_spans_total", "counter",
         "spans discarded after the retention cap",
     )
-    lines.append(f"obs_dropped_spans_total {meta['dropped_spans']}")
+    lines.append(f"obs_dropped_spans_total {retention['dropped_spans']}")
     family(
         "obs_dropped_profiles_total", "counter",
         "profile records discarded after the retention cap",
     )
-    lines.append(f"obs_dropped_profiles_total {meta['dropped_profiles']}")
+    lines.append(
+        f"obs_dropped_profiles_total {retention['dropped_profiles']}"
+    )
     family("obs_spans", "gauge", "span records currently retained")
-    lines.append(f"obs_spans {len(snap['spans'])}")
+    lines.append(f"obs_spans {retention['spans']}")
     for fam, spec in sorted((extra_families or {}).items()):
         family(fam, spec.get("type", "gauge"), spec.get("help"))
         for labels, value in spec.get("samples", ()):
@@ -410,9 +401,9 @@ def _format_amount(value: int | float) -> str:
     return str(value)
 
 
-def summary_tree(registry: Registry | None = None) -> str:
+def summary_tree() -> str:
     """Aggregate spans by nesting path into an indented text tree."""
-    snap = _snapshot(registry)
+    snap = get_registry().snapshot()
     # Aggregate by full path so repeated spans (batches, layers) fold
     # into one line with a call count.
     order: list[str] = []

@@ -16,9 +16,10 @@ whatever spans are recorded under it). The context travels:
 
 Ids are derived through :func:`repro.utils.seeding.derive_seed` (BLAKE2b
 over a label path), not OS entropy: with :func:`set_trace_root` pinned,
-a test's trace ids are bit-reproducible. The default root namespaces by
-PID (``REPRO_TRACE_SEED`` overrides) so two processes never interleave
-identical span-id sequences into one trace.
+a test's trace ids are bit-reproducible. Each process draws from its
+own root, derived from its PID at import and again in every forked
+child, so replicas and pool workers forked from one template never
+mint the same id sequence.
 
 :func:`collect_trace` / :func:`recent_traces` are the query side — the
 serve frontend's ``/tracez`` endpoint and the per-request Chrome-trace
@@ -33,7 +34,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from repro.obs.core import Registry, get_registry
+from repro.obs.core import get_registry
 from repro.utils.seeding import derive_seed
 
 __all__ = [
@@ -50,9 +51,6 @@ __all__ = [
 #: HTTP header carrying ``<trace_id>-<span_id>`` between client and
 #: frontend (and echoed back on the response).
 TRACE_HEADER = "X-Repro-Trace"
-
-#: Environment override for the id-derivation root seed.
-ENV_TRACE_SEED = "REPRO_TRACE_SEED"
 
 #: Spans scanned (from the newest backward) when grouping traces; keeps
 #: ``/tracez`` latency bounded on a long-lived registry near MAX_SPANS.
@@ -140,19 +138,22 @@ class _IdAllocator:
         return f"{derive_seed(root, 'obs.trace', label, n):016x}"
 
 
-def _default_root() -> int:
-    env = os.environ.get(ENV_TRACE_SEED)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    # Namespace by PID so parent and worker processes draw from
-    # disjoint id sequences even without an explicit seed.
-    return derive_seed(0, "obs.trace.pid", os.getpid())
+def _seed_from_pid() -> None:
+    """Give this process its own id root, derived from its PID.
+
+    Runs at import and in every forked child: a forked child (a
+    forkserver's replica or pool worker) would otherwise inherit its
+    template's root and counter and mint the template's ids. A fresh
+    allocator also replaces a lock another thread may have held at the
+    fork.
+    """
+    global _ALLOCATOR
+    _ALLOCATOR = _IdAllocator(derive_seed(0, "obs.trace.pid", os.getpid()))
 
 
-_ALLOCATOR = _IdAllocator(_default_root())
+_seed_from_pid()
+if hasattr(os, "register_at_fork"):  # Unix; spawned children re-import
+    os.register_at_fork(after_in_child=_seed_from_pid)
 
 
 def set_trace_root(root: int) -> None:
@@ -175,14 +176,14 @@ def current() -> TraceContext | None:
 
 
 @contextmanager
-def scope(ctx: TraceContext | None, registry: Registry | None = None):
+def scope(ctx: TraceContext | None):
     """Install ``ctx`` as the thread's trace context for the block.
 
     Nested scopes restore the outer context on exit; ``ctx=None`` is a
     true no-op passthrough (convenient at call sites that may or may not
     have a context).
     """
-    registry = registry or get_registry()
+    registry = get_registry()
     saved = registry.current_trace_context()
     registry.set_trace_context(ctx if ctx is not None else saved)
     try:
@@ -200,22 +201,17 @@ def _span_matches(record: dict, trace_id: str) -> bool:
     return trace_id in attrs.get("trace_ids", ())
 
 
-def collect_trace(
-    trace_id: str, registry: Registry | None = None
-) -> list[dict]:
+def collect_trace(trace_id: str) -> list[dict]:
     """Every recorded span belonging to ``trace_id`` (as dicts, in
     record order, frontend and ingested worker spans alike)."""
-    registry = registry or get_registry()
     snap_spans = [
         s.to_dict()
-        for s in registry.spans[-MAX_TRACE_SCAN:]
+        for s in get_registry().spans[-MAX_TRACE_SCAN:]
     ]
     return [r for r in snap_spans if _span_matches(r, trace_id)]
 
 
-def recent_traces(
-    limit: int = 10, registry: Registry | None = None
-) -> list[dict]:
+def recent_traces(limit: int = 10) -> list[dict]:
     """The newest ``limit`` traces, each with its member spans.
 
     Returns ``[{"trace_id", "span_count", "wall_s", "spans"}, ...]``,
@@ -223,8 +219,7 @@ def recent_traces(
     scanned, so a trace older than the retention window may come back
     partial — acceptable for a live debug endpoint.
     """
-    registry = registry or get_registry()
-    recent = [s.to_dict() for s in registry.spans[-MAX_TRACE_SCAN:]]
+    recent = [s.to_dict() for s in get_registry().spans[-MAX_TRACE_SCAN:]]
     grouped: dict[str, list[dict]] = {}
     order: list[str] = []  # by last-seen span, oldest trace first
     for record in recent:

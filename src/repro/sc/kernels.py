@@ -842,8 +842,6 @@ def _count_kernel_ops(
     records nothing.
     """
     reg = get_registry()
-    if not reg.enabled:
-        return
     reg.counter("sc.kernels.calls").add(1)
     reg.counter(f"sc.kernels.mode.{mode.value}").add(1)
     reg.counter(f"sc.kernels.layout.{layout}").add(1)

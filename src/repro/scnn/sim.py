@@ -54,8 +54,7 @@ from repro.utils.seeding import derive_seed
 # MRU end; overflow evicts only the LRU entry (the old behaviour dropped
 # the whole cache, flushing every other layer's table on the 257th
 # distinct key). The hit/miss/eviction counters live on the telemetry
-# registry (`repro.obs`) — these counters stay live even with telemetry
-# disabled, so `table_cache_stats()` keeps working under REPRO_OBS=0.
+# registry (`repro.obs`), and `table_cache_stats()` reads them.
 _TABLE_CACHE: OrderedDict[tuple, np.ndarray] = OrderedDict()
 _TABLE_CACHE_LIMIT = 256
 _TABLE_CACHE_BYTES = 0  # resident payload bytes, mirrored to the gauge
@@ -181,8 +180,7 @@ def stream_table(
     ) as sp:
         sng = ProgressiveSNG(source, bits) if progressive else SNG(source, bits)
         table = sng.table(unique, length)  # (U, 2**bits, words)
-        if reg.enabled:
-            sp.attrs["bytes"] = table.nbytes
+        sp.attrs["bytes"] = table.nbytes
     if cache_key is not None:
         while len(_TABLE_CACHE) >= _TABLE_CACHE_LIMIT:
             _, evicted = _TABLE_CACHE.popitem(last=False)
@@ -599,30 +597,28 @@ class SCConvSimulator:
                         out[start : start + chunk, co] = (
                             (pos_counts - neg_counts) / length
                         ).astype(np.float32)
-            if reg.enabled:
-                sp.attrs.update(kernel)
-        if reg.enabled:
-            bytes_touched += table.nbytes + wp.nbytes + wn.nbytes + out.nbytes
-            reg.counter(f"scnn.outputs.{mode.value}").add(out.size)
-            reg.add_profile(
-                {
-                    "kind": "layer_forward",
-                    "op": "conv",
-                    "layer_index": self.layer_index,
-                    "role": self.role,
-                    "mode": mode.value,
-                    "engine": cfg.engine,
-                    "stream_length": length,
-                    "bits": bits,
-                    "kernel_shape": list(self.kernel_shape),
-                    "batch": int(n),
-                    "output_shape": [int(n), cout, oh, ow],
-                    "bytes_touched": int(bytes_touched),
-                    "wall_s": sp.wall_s,
-                    "cpu_s": sp.cpu_s,
-                    **kernel,
-                }
-            )
+            sp.attrs.update(kernel)
+        bytes_touched += table.nbytes + wp.nbytes + wn.nbytes + out.nbytes
+        reg.counter(f"scnn.outputs.{mode.value}").add(out.size)
+        reg.add_profile(
+            {
+                "kind": "layer_forward",
+                "op": "conv",
+                "layer_index": self.layer_index,
+                "role": self.role,
+                "mode": mode.value,
+                "engine": cfg.engine,
+                "stream_length": length,
+                "bits": bits,
+                "kernel_shape": list(self.kernel_shape),
+                "batch": int(n),
+                "output_shape": [int(n), cout, oh, ow],
+                "bytes_touched": int(bytes_touched),
+                "wall_s": sp.wall_s,
+                "cpu_s": sp.cpu_s,
+                **kernel,
+            }
+        )
         return out
 
 

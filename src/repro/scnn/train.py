@@ -276,21 +276,20 @@ def train_model(
                             batch=batches,
                         )
             losses.append(epoch_loss / max(batches, 1))
-            if reg.enabled:
-                reg.counter("train.batches").add(batches)
-                reg.counter("train.samples").add(samples)
-                reg.gauge("train.loss").set(losses[-1])
-                reg.add_profile(
-                    {
-                        "kind": "train_epoch",
-                        "epoch": epoch,
-                        "loss": losses[-1],
-                        "batches": batches,
-                        "samples": samples,
-                        "wall_s": ep_span.wall_s,
-                        "cpu_s": ep_span.cpu_s,
-                    }
-                )
+            reg.counter("train.batches").add(batches)
+            reg.counter("train.samples").add(samples)
+            reg.gauge("train.loss").set(losses[-1])
+            reg.add_profile(
+                {
+                    "kind": "train_epoch",
+                    "epoch": epoch,
+                    "loss": losses[-1],
+                    "batches": batches,
+                    "samples": samples,
+                    "wall_s": ep_span.wall_s,
+                    "cpu_s": ep_span.cpu_s,
+                }
+            )
             if scheduler is not None:
                 scheduler.step()
             last = epoch == epochs - 1

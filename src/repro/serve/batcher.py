@@ -12,10 +12,10 @@ refuses when the queue is at capacity, which callers surface as
 backpressure (:class:`~repro.errors.QueueFullError`) instead of letting
 latency grow without bound.
 
-All time comes from an injectable monotonic ``clock`` so the
-coalescing/flush/expiry logic is unit-testable with a fake clock and no
-sleeps; the blocking :meth:`next_batch` is a thin condition-variable
-wrapper over the pure :meth:`poll`.
+Release and expiry time comes from an injectable monotonic ``clock`` so
+the coalescing/flush/expiry logic is unit-testable with a fake clock and
+no sleeps; the blocking :meth:`next_batch` is a thin condition-variable
+wrapper over the pure :meth:`poll` whose timeout runs on the real clock.
 """
 
 from __future__ import annotations
@@ -120,18 +120,25 @@ class MicroBatcher:
     ) -> tuple[list[PendingRequest] | None, list[PendingRequest]]:
         """Blocking :meth:`poll`: waits (up to ``timeout``) for a batch.
 
-        Returns as soon as a batch releases, or with ``(None, expired)``
-        at timeout. Uses the *real* clock for condition waits — tests
-        drive :meth:`poll` with a fake clock instead.
+        Returns as soon as a batch releases or a queued request expires,
+        or with ``(None, [])`` once ``timeout`` seconds have passed on
+        the *real* clock (``time.monotonic``), so a dispatch thread
+        returns even under a fake clock that never advances. Release and
+        expiry read the injected clock, as :meth:`poll` does.
         """
-        deadline = None if timeout is None else self.clock() + timeout
+        deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
             while True:
-                batch, expired = self._poll_locked(self.clock())
+                now = self.clock()
+                batch, expired = self._poll_locked(now)
                 if batch is not None or expired:
                     return batch, expired
-                now = self.clock()
-                waits = [] if deadline is None else [deadline - now]
+                waits = []
+                if deadline is not None:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        return None, []
+                    waits.append(remaining)
                 if self._queue:
                     head = self._queue[0]
                     waits.append(
@@ -141,16 +148,8 @@ class MicroBatcher:
                         waits.append(head.deadline_at - now)
                 wait = min(waits) if waits else None
                 if wait is not None and wait <= 0:
-                    if deadline is not None and now >= deadline:
-                        return None, []
                     continue  # release condition just became due
                 self._cond.wait(wait)
-                if (
-                    deadline is not None
-                    and self.clock() >= deadline
-                    and not self._queue
-                ):
-                    return None, []
 
     def _poll_locked(self, now: float):
         """:meth:`poll` body for callers already holding the condition."""

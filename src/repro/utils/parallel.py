@@ -159,11 +159,11 @@ def parallel_map(
     discarded. Cancelled jobs are counted on ``parallel.cancelled_shards``
     and jobs the caller took back on ``parallel.stolen_shards``.
 
-    With telemetry enabled (:mod:`repro.obs`), each call records the
-    per-shard task durations and two scaling health signals: the
-    ``parallel.utilization`` gauge (busy time / ``workers x wall``, 1.0
-    = perfectly parallel) and ``parallel.shard_imbalance`` (slowest
-    shard / mean shard, 1.0 = perfectly balanced).
+    Each sharded call records on :mod:`repro.obs` its total shard time
+    and two scaling health signals: the ``parallel.utilization`` gauge
+    (busy time / ``workers x wall``, 1.0 = perfectly parallel) and
+    ``parallel.shard_imbalance`` (slowest shard / mean shard, 1.0 =
+    perfectly balanced).
     """
     workers = min(resolve_shards(num_workers), len(jobs))
     if workers <= 1:
@@ -173,8 +173,6 @@ def parallel_map(
     durations = [0.0] * len(jobs)
 
     def run_one(index: int) -> _R:
-        if not reg.enabled:
-            return fn(jobs[index])
         t0 = time.perf_counter()
         result = fn(jobs[index])
         durations[index] = time.perf_counter() - t0
@@ -201,11 +199,9 @@ def parallel_map(
                 results[index] = future.result()
     except BaseException:
         cancelled = sum(1 for f in futures if not f.done() and f.cancel())
-        if reg.enabled and cancelled:
+        if cancelled:
             reg.counter("parallel.cancelled_shards").add(cancelled)
         raise
-    if not reg.enabled:
-        return results
     wall = time.perf_counter() - t0
     busy = sum(durations)
     reg.counter("parallel.tasks").add(len(jobs))

@@ -29,6 +29,7 @@ import repro
 from repro import cluster, obs, serve
 from repro.cluster.health import HEARTBEAT_TIMEOUT_S, ReplicaHealth
 from repro.cluster.placement import PlacementRing
+from repro.cluster.router import _QueuedRequest
 from repro.cluster.wfq import FIFOQueue, WeightedFairQueue, make_scheduler
 from repro.cluster.workload import FixedServiceModel, fixed_service_model
 from repro.errors import QueueFullError, UnknownModelError
@@ -299,6 +300,34 @@ class TestCandidateRanking:
         assert self.order(router) == ["r4", "r1", "r2", "r3", "r0"]
 
 
+class TestFailover:
+    def test_truncated_reply_fails_over_to_the_next_replica(self):
+        """A replica killed while it writes its reply truncates it
+        (``IncompleteRead``): a transport failure, so the next candidate
+        answers the request."""
+        healths = {}
+        for rid in ("r0", "r1"):
+            healths[rid] = ReplicaHealth(rid, clock=FakeClock())
+            healths[rid].note_alive(True)
+            healths[rid].note_admitted(True)
+            healths[rid].note_heartbeat()
+        router = cluster.ClusterRouter(_StubManager(healths))
+        tried = []
+
+        def proxy(endpoint, item):
+            tried.append(endpoint.rsplit("/", 1)[-1])
+            if len(tried) == 1:
+                raise http.client.IncompleteRead(b"", 207)
+            return {"replica": tried[-1]}
+
+        router._proxy = proxy
+        item = _QueuedRequest(b"{}", None, time.monotonic())
+        router._forward("m", item)
+        assert item.error is None
+        assert item.result == {"replica": "r1"}
+        assert tried == ["r0", "r1"]
+
+
 def test_manager_pins_the_router_allocator():
     """A router's process builds no stream table: constructing its
     ReplicaManager pins the allocator, before any table build and
@@ -336,7 +365,6 @@ def test_manager_pins_the_router_allocator():
 def cluster_stack():
     """One router + 2 replicas serving two fixed-service models."""
     obs.reset()
-    obs.set_enabled(True)
     trace.set_trace_root(4242)
     alpha, shape = fixed_service_model(service_ms=5, seed=1)
     beta, _ = fixed_service_model(service_ms=5, seed=2)

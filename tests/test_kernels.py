@@ -83,10 +83,9 @@ class TestBitExactness:
             progressive=progressive,
             trng_eval_freeze=True,
         )
-        with obs.enabled_scope(True):
-            obs.reset()
-            ref, fused = run_both(cfg, x, w)
-            layouts = [r["kernel_layout"] for r in obs.get_registry().profiles]
+        obs.reset()
+        ref, fused = run_both(cfg, x, w)
+        layouts = [r["kernel_layout"] for r in obs.get_registry().profiles]
         assert layouts == [None, "table"]  # reference engine, then fused
         np.testing.assert_array_equal(ref, fused)
 
@@ -731,8 +730,6 @@ class TestLanePacking:
     def test_lane_counters_exported(self):
         from repro import obs
 
-        if not obs.enabled():
-            pytest.skip("telemetry disabled in this environment")
         operands = _kernel_operands(seed=41)
         obs.reset()
         fused_conv_counts(*operands, "pbw", length=32)
@@ -745,8 +742,6 @@ class TestLanePacking:
     def test_table_counters_exported(self, mode, members):
         from repro import obs
 
-        if not obs.enabled():
-            pytest.skip("telemetry disabled in this environment")
         n, cin, k, p, cout, words = 2, 2, 3, 400, 3, 1
         operands = _kernel_operands(n=n, cin=cin, k=k, p=p, cout=cout, length=64)
         values = operands[0].shape[1]

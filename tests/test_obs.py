@@ -20,10 +20,7 @@ from repro.utils.parallel import parallel_map
 @pytest.fixture(autouse=True)
 def fresh_registry():
     obs.reset()
-    saved = obs.enabled()
-    obs.set_enabled(True)
     yield
-    obs.set_enabled(saved)
     obs.reset()
 
 
@@ -116,42 +113,8 @@ class TestCounters:
         assert obs.get_registry().counters()["test.persist"] == 2
 
 
-class TestDisabledMode:
-    def test_spans_and_profiles_are_noops(self):
-        with obs.enabled_scope(False):
-            with obs.span("ghost") as sp:
-                pass
-            assert sp is obs.NOOP_SPAN
-            obs.add_profile({"kind": "ghost"})
-        snap = obs.get_registry().snapshot()
-        assert snap["spans"] == []
-        assert snap["profiles"] == []
-
-    def test_forward_emits_no_profile_when_disabled(self):
-        clear_table_cache()
-        cfg = SCConfig(stream_length=32, stream_length_pooling=32)
-        sim = SCConvSimulator((2, 1, 3, 3), cfg)
-        rng = np.random.default_rng(0)
-        x = rng.uniform(0, 1, (1, 1, 5, 5)).astype(np.float32)
-        w = rng.uniform(-0.4, 0.4, (2, 1, 3, 3)).astype(np.float32)
-        with obs.enabled_scope(False):
-            y_off = sim(x, w)
-        snap = obs.get_registry().snapshot()
-        assert snap["profiles"] == []
-        assert snap["spans"] == []
-        assert snap["counters"].get("sc.kernels.calls", {"value": 0})[
-            "value"
-        ] == 0
-        # Cache stats stay live (backward-compatible contract) and the
-        # output is bit-identical to an instrumented run.
-        from repro.scnn.sim import table_cache_stats
-
-        assert table_cache_stats()["misses"] == 1
-        y_on = sim(x, w)
-        np.testing.assert_array_equal(y_off, y_on)
-        assert len(obs.get_registry().profiles) == 1
-
-    def test_layer_profile_recorded_when_enabled(self):
+class TestLayerProfile:
+    def test_forward_records_a_layer_profile(self):
         clear_table_cache()
         cfg = SCConfig(stream_length=32, stream_length_pooling=32)
         sim = SCConvSimulator((2, 1, 3, 3), cfg)
@@ -205,7 +168,9 @@ class TestExporters:
         self._populate()
         path = obs.write_jsonl(tmp_path / "t.jsonl")
         records = obs.read_jsonl(path)
-        assert records["meta"][0]["enabled"] is True
+        assert set(records["meta"][0]) == {
+            "epoch_wall", "dropped_spans", "dropped_profiles",
+        }
         counters = {r["name"]: r for r in records["counter"]}
         assert counters["exp.count"]["value"] == 7
         assert counters["exp.count"]["unit"] == "words"
@@ -432,6 +397,22 @@ class TestPrometheusExposition:
         families = obs.parse_prometheus(obs.render_prometheus())
         assert dict_sample(families["obs_dropped_spans_total"]) == 7.0
         assert dict_sample(families["obs_dropped_profiles_total"]) == 2.0
+
+    def test_render_copies_no_span_record(self, monkeypatch):
+        """A scrape reads the metric objects and the retention counts,
+        never the span log, which grows to MAX_SPANS in a long-lived
+        server."""
+        for _ in range(3):
+            with obs.span("kept"):
+                pass
+        obs.add_profile({"kind": "kept"})
+
+        def refuse(record):
+            raise AssertionError("a scrape converted a span record")
+
+        monkeypatch.setattr(obs.SpanRecord, "to_dict", refuse)
+        families = obs.parse_prometheus(obs.render_prometheus())
+        assert dict_sample(families["obs_spans"]) == 3.0
 
 
 def dict_sample(samples):

@@ -103,10 +103,10 @@ def no_jitter(monkeypatch):
 
 
 def _registry_records(entry):
-    """Pool-worker task: whether telemetry is on in the worker, and how
-    many spans and profiles its registry holds."""
+    """Pool-worker task: how many spans and profiles the worker's
+    registry holds."""
     registry = obs.get_registry()
-    return registry.enabled, registry.span_count(), registry.profile_count()
+    return registry.span_count(), registry.profile_count()
 
 
 class TestRetryPolicy:
@@ -781,7 +781,7 @@ class TestWorkerTelemetry:
             with trace.scope(ctx):
                 backend.run(entry, _sc_batch(3), 1)
             records = backend.call(entry, _registry_records, (), tuple)
-        assert records == (True, 0, 0)
+        assert records == (0, 0)
         # The traced call's spans were shipped before they were dropped.
         (shipped,) = [
             span for span in trace.collect_trace(ctx.trace_id)
@@ -802,4 +802,4 @@ class TestWorkerTelemetry:
             records = pool.backend.call(
                 pool.entry, _registry_records, (), tuple
             )
-        assert records == (True, 0, 0)
+        assert records == (0, 0)

@@ -583,36 +583,33 @@ class TestKernelStatsAttribution:
         from repro import obs
 
         layers = self._layers()
-        with obs.enabled_scope(True):
-            obs.reset()
-            for sim, x, w in layers:
+        obs.reset()
+        for sim, x, w in layers:
+            sim(x, w)
+        serial = {kind: self._stats(kind) for kind in ("profile", "span")}
+        assert all(len(stats) == 1 for stats in serial["profile"].values())
+        first, second = (next(iter(serial["profile"][i])) for i in (0, 1))
+        assert first[:2] == ("table", 2)
+        assert second[:2] == ("s_outer", 2)
+
+        obs.reset()
+        barrier = threading.Barrier(len(layers))
+
+        def forward(sim, x, w):
+            barrier.wait(timeout=60)
+            for _ in range(3):
                 sim(x, w)
-            serial = {kind: self._stats(kind) for kind in ("profile", "span")}
-            assert all(
-                len(stats) == 1 for stats in serial["profile"].values()
-            )
-            first, second = (next(iter(serial["profile"][i])) for i in (0, 1))
-            assert first[:2] == ("table", 2)
-            assert second[:2] == ("s_outer", 2)
 
-            obs.reset()
-            barrier = threading.Barrier(len(layers))
-
-            def forward(sim, x, w):
-                barrier.wait(timeout=60)
-                for _ in range(3):
-                    sim(x, w)
-
-            threads = [
-                threading.Thread(target=forward, args=layer) for layer in layers
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-                assert not thread.is_alive()
-            for kind in ("profile", "span"):
-                assert self._stats(kind) == serial[kind]
+        threads = [
+            threading.Thread(target=forward, args=layer) for layer in layers
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        for kind in ("profile", "span"):
+            assert self._stats(kind) == serial[kind]
 
     def test_profile_reports_resolved_shards(self):
         """The profile and span carry the shard count each call ran as,
@@ -626,9 +623,7 @@ class TestKernelStatsAttribution:
         x = rng.uniform(0.2, 1, size=(2, 3, 8, 8)).astype(np.float32)
         w = rng.uniform(-0.4, 0.4, size=(4, 3, 3, 3)).astype(np.float32)
         cfg = SCConfig(stream_length=32, stream_length_pooling=32)
-        with obs.enabled_scope(True), mock.patch.object(
-            parallel, "cpu_count", return_value=2
-        ):
+        with mock.patch.object(parallel, "cpu_count", return_value=2):
             for workers, engine, want in (
                 (0, "fused", 2), (1, "fused", 1), (0, "reference", None)
             ):
@@ -659,12 +654,11 @@ class TestKernelStatsAttribution:
             stream_length=32, stream_length_pooling=32, batch_chunk=1,
             num_workers=1,
         )
-        with obs.enabled_scope(True):
-            for batch in (x, x[::-1].copy()):
-                obs.reset()
-                SCConvSimulator((4, 3, 3, 3), cfg)(batch, w)
-                (profile,) = obs.get_registry().profiles
-                assert [profile[k] for k in self._STAT_KEYS] == ["mixed"] * 3
+        for batch in (x, x[::-1].copy()):
+            obs.reset()
+            SCConvSimulator((4, 3, 3, 3), cfg)(batch, w)
+            (profile,) = obs.get_registry().profiles
+            assert [profile[k] for k in self._STAT_KEYS] == ["mixed"] * 3
 
 
 class TestResolvedSeedRows:

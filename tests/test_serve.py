@@ -176,6 +176,19 @@ class TestMicroBatcher:
         batch, expired = b.next_batch(timeout=0.01)
         assert batch is None and expired == []
 
+    def test_timeout_runs_on_the_real_clock(self):
+        """A fake clock that never advances does not hold a dispatch
+        thread past its timeout."""
+        b = MicroBatcher(max_batch=2, clock=FakeClock())
+        returned = []
+        waiter = threading.Thread(
+            target=lambda: returned.append(b.next_batch(timeout=0.05)),
+            daemon=True,
+        )
+        waiter.start()
+        waiter.join(timeout=1.0)
+        assert returned == [(None, [])]
+
     def test_drain_empties_queue(self):
         clock = FakeClock()
         b = MicroBatcher(max_batch=8, max_wait_s=1.0, clock=clock)

@@ -17,11 +17,8 @@ from repro.obs.trace import TraceContext
 @pytest.fixture(autouse=True)
 def fresh_registry():
     obs.reset()
-    saved = obs.enabled()
-    obs.set_enabled(True)
     trace.set_trace_root(1234)
     yield
-    obs.set_enabled(saved)
     obs.reset()
 
 
@@ -49,6 +46,12 @@ def _fp_model(seed=0, features=8, classes=3):
         nn.ReLU(),
         nn.Linear(16, classes, rng=rng),
     )
+
+
+def _send_first_trace_id(conn):
+    """Child-process task: the first trace id this process mints."""
+    conn.send(trace.new_trace().trace_id)
+    conn.close()
 
 
 class TestTraceContext:
@@ -91,6 +94,24 @@ class TestTraceContext:
     def test_dict_round_trip(self):
         ctx = trace.new_trace().child()
         assert TraceContext.from_dict(ctx.to_dict()) == ctx
+
+    def test_forked_children_mint_their_own_ids(self):
+        """Children forked from one template (the pool's forkserver)
+        each draw ids from their own root, not the template's."""
+        from repro.serve.backend import pool_context
+
+        ctx = pool_context()
+        ids = []
+        for _ in range(2):
+            receiver, sender = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_send_first_trace_id, args=(sender,))
+            child.start()
+            sender.close()
+            assert receiver.poll(60)
+            ids.append(receiver.recv())
+            child.join(timeout=30)
+            assert not child.is_alive()
+        assert ids[0] != ids[1]
 
 
 class TestScope:
